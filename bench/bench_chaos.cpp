@@ -21,7 +21,7 @@
 #include "chaos/invariants.hpp"
 #include "networks/fault_router.hpp"
 #include "networks/route_policy.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/metrics.hpp"
 
@@ -132,12 +132,12 @@ std::uint64_t transient_convergence_section(Json& json) {
 
     scg::SimTraceRecorder trace;
     const scg::EventSimResult faulty =
-        scg::simulate_chaos(g, offchip, pairs, *policy, ec, schedule, &rr,
-                            &trace);
+        scg::simulate_events(g, offchip, pairs, *policy, ec, schedule, &rr,
+                             &trace);
     const scg::InvariantReport audit = scg::check_sim_invariants(
         g, offchip, pairs, ec, schedule, faulty, trace);
     const scg::EventSimResult clean =
-        scg::simulate_chaos(g, offchip, pairs, *policy, ec, {}, &rr);
+        scg::simulate_events(g, offchip, pairs, *policy, ec, {}, &rr);
 
     const bool exact =
         faulty.delivered_fraction == clean.delivered_fraction &&
@@ -204,15 +204,15 @@ std::uint64_t adaptive_section(Json& json) {
       scg::AdaptiveFaultPolicy policy(net);
       const scg::Rerouter rr = policy.rerouter();
       scg::TeeObserver obs{&trace, &policy};
-      r = scg::simulate_chaos(g, offchip, pairs, policy, ec, schedule, &rr,
-                              &obs);
+      r = scg::simulate_events(g, offchip, pairs, policy, ec, schedule, &rr,
+                               &obs);
       quarantines = policy.quarantine_count();
       readmissions = policy.readmit_count();
     } else {
       const auto policy = scg::make_route_policy("fault", net);
       const scg::Rerouter rr = scg::make_rerouter(router);
-      r = scg::simulate_chaos(g, offchip, pairs, *policy, ec, schedule, &rr,
-                              &trace);
+      r = scg::simulate_events(g, offchip, pairs, *policy, ec, schedule, &rr,
+                               &trace);
     }
     const scg::InvariantReport audit =
         scg::check_sim_invariants(g, offchip, pairs, ec, schedule, r, trace);

@@ -1,8 +1,8 @@
 // RouteEngine throughput harness: scalar route() vs zero-allocation batch
 // solving vs relative-permutation cache hits, per family, plus the
 // end-to-end MCMP effect (packet generation through the engine must produce
-// byte-identical paths — and therefore an identical SimResult — measurably
-// faster than the legacy per-pair route_trace path).  Emits
+// byte-identical paths — and therefore an identical EventSimResult —
+// measurably faster than the legacy per-pair route_trace path).  Emits
 // bench/baseline_engine.json for scripts/compare_bench.py regression gating.
 #include <algorithm>
 #include <chrono>
@@ -13,7 +13,7 @@
 #include "json_out.hpp"
 #include "networks/route_engine.hpp"
 #include "networks/router.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/metrics.hpp"
 
@@ -265,22 +265,16 @@ std::vector<scg::SimPacket> legacy_random_traffic(const scg::NetworkSpec& net,
   return packets;
 }
 
-scg::SimResult run_sim(const scg::NetworkSpec& net,
-                       std::vector<scg::SimPacket> packets) {
+scg::EventSimResult run_sim(const scg::NetworkSpec& net,
+                            const std::vector<scg::SimPacket>& packets) {
   const scg::Graph g = scg::materialize(net);
-  scg::SimConfig cfg;
-  cfg.onchip_cycles = 1;
-  cfg.offchip_cycles = std::max(1, net.intercluster_degree());
-  return scg::simulate_mcmp(
-      g,
-      [&](std::int32_t tag) {
-        return !scg::is_nucleus(
-            net.generators[static_cast<std::size_t>(tag)].kind);
-      },
-      std::move(packets), cfg);
+  scg::EventSimConfig cfg;
+  cfg.offchip_cycles_per_flit = std::max(1, net.intercluster_degree());
+  return scg::simulate_events(g, scg::mcmp_offchip_table(net, g), packets,
+                              cfg);
 }
 
-bool same_result(const scg::SimResult& a, const scg::SimResult& b) {
+bool same_result(const scg::EventSimResult& a, const scg::EventSimResult& b) {
   return a.completion_cycles == b.completion_cycles &&
          a.avg_latency == b.avg_latency && a.packets == b.packets &&
          a.total_hops == b.total_hops && a.offchip_hops == b.offchip_hops &&
@@ -305,8 +299,8 @@ void bench_mcmp(const scg::NetworkSpec& net, const char* workload,
                       legacy[i].dst == batched[i].dst &&
                       legacy[i].path == batched[i].path;
   }
-  const scg::SimResult legacy_r = run_sim(net, legacy);
-  const scg::SimResult batched_r = run_sim(net, batched);
+  const scg::EventSimResult legacy_r = run_sim(net, legacy);
+  const scg::EventSimResult batched_r = run_sim(net, batched);
   const bool results_identical = same_result(legacy_r, batched_r);
 
   std::printf("%-10s %-5s legacy-gen=%.4fs engine-gen=%.4fs (%.2fx)  "

@@ -15,7 +15,7 @@
 #include "networks/fault_router.hpp"
 #include "networks/route_policy.hpp"
 #include "networks/router.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "topology/baselines.hpp"
 #include "topology/fault.hpp"
 #include "topology/metrics.hpp"
@@ -175,9 +175,8 @@ void mcmp_degradation_section(Json& json) {
   const NetworkSpec net = scg::make_macro_star(2, 2);
   const Graph g = scg::materialize(net);
   const FaultRouter router(net);
-  const auto is_offchip = [&net](std::int32_t tag) {
-    return !scg::is_nucleus(net.generators[static_cast<std::size_t>(tag)].kind);
-  };
+  const scg::Rerouter reroute = scg::make_rerouter(router);
+  const scg::OffchipTable offchip = scg::mcmp_offchip_table(net, g);
 
   // Uniform random traffic on pristine routes from the registry's
   // fault-aware policy (an empty FaultSet plays exactly the primary
@@ -200,18 +199,19 @@ void mcmp_degradation_section(Json& json) {
 
   const auto all_links = links_of(g);
   for (const int kills : {0, 2, 8, 24}) {
-    std::vector<scg::LinkFault> schedule;
+    std::vector<scg::FaultEvent> schedule;
     std::mt19937_64 krng(53);
     std::uniform_int_distribution<std::size_t> pick_link(0, all_links.size() - 1);
     for (int i = 0; i < kills; ++i) {  // staggered kills while traffic flows
       const auto [u, v] = all_links[pick_link(krng)];
       schedule.push_back(
-          scg::LinkFault{static_cast<std::uint64_t>(4 * i), u, v});
+          scg::FaultEvent::link_fail(static_cast<std::uint64_t>(4 * i), u, v));
     }
-    scg::FaultSimConfig cfg;
-    cfg.offchip_cycles = 2;
-    const scg::FaultSimResult r = scg::simulate_mcmp_faulty(
-        g, is_offchip, pkts, schedule, scg::make_rerouter(router), cfg);
+    scg::EventSimConfig cfg;
+    cfg.offchip_cycles_per_flit = 2;
+    cfg.fault_mode = true;
+    const scg::EventSimResult r =
+        scg::simulate_events(g, offchip, pkts, cfg, schedule, &reroute);
     std::printf("kills=%-3d delivered=%.4f retx=%-5llu timeouts=%-5llu "
                 "p50=%-4llu p99=%-4llu stretch=%.3f completion=%llu\n",
                 kills, r.delivered_fraction,

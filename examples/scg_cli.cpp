@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -432,9 +433,7 @@ int cmd_kernels() {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: scg_cli info|route|trace|dot|histogram|sim|chaos|"
@@ -515,4 +514,17 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad input (a non-permutation, an unknown policy name, ...) surfaces as
+  // a library exception; report it like any other usage error.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "scg_cli: %s\n", e.what());
+    return 2;
+  }
 }

@@ -28,57 +28,40 @@ rm -f "$oracle_table"
 
 echo "== routing benches: correctness report + engine throughput gate =="
 ./build/bench/bench_routing
-# bench_engine writes bench/baseline_engine.json relative to its cwd; run
-# it in a scratch dir so the committed baseline is never clobbered, then
-# gate the fresh numbers against it.  Tolerance is loose (0.5) because the
-# committed baseline comes from a different machine — the gate catches
-# broken invariants and order-of-magnitude regressions, not jitter.
-engine_dir="$(mktemp -d /tmp/scg-engine.XXXXXX)"
-mkdir -p "$engine_dir/bench"
-repo_root="$PWD"
-(cd "$engine_dir" && "$repo_root/build/bench/bench_engine")
-python3 scripts/compare_bench.py bench/baseline_engine.json \
-  "$engine_dir/bench/baseline_engine.json" --tolerance 0.5
-rm -rf "$engine_dir"
+# Every bench gate runs its bench in a scratch dir and compares the fresh
+# JSON with the committed baseline (scripts/bench_gate.sh).
+scripts/bench_gate.sh build/bench/bench_engine bench/baseline_engine.json
 
 echo "== kernel microbench: SIMD tier identity + speedup gate =="
 # bench_kernels exits non-zero if any SIMD tier output differs from the
 # scalar reference; the JSON gate pins the byte-identity flags exactly and
 # the speedup/rate fields loosely (the committed baseline's dispatch tier is
 # stamped in its "meta" object).
-kern_dir="$(mktemp -d /tmp/scg-kern.XXXXXX)"
-mkdir -p "$kern_dir/bench"
-(cd "$kern_dir" && "$repo_root/build/bench/bench_kernels")
-python3 scripts/compare_bench.py bench/baseline_kernels.json \
-  "$kern_dir/bench/baseline_kernels.json" --tolerance 0.5
-rm -rf "$kern_dir"
+scripts/bench_gate.sh build/bench/bench_kernels bench/baseline_kernels.json
 
 echo "== kernels smoke: dispatch tier report + scalar identity check =="
 ./build/examples/scg_cli kernels
 
 echo "== simulation bench: event-core invariants + lazy-routing gate =="
-# Same scratch-dir pattern: bench_mcmp re-simulates every workload and the
-# lazy-vs-prerouted acceptance run; completion cycles / hop counts /
-# sim_identical must match the committed baseline exactly, lazy_speedup and
-# sim_rps only loosely (machine speed).
-sim_dir="$(mktemp -d /tmp/scg-sim.XXXXXX)"
-mkdir -p "$sim_dir/bench"
-(cd "$sim_dir" && "$repo_root/build/bench/bench_mcmp")
-python3 scripts/compare_bench.py bench/baseline_sim.json \
-  "$sim_dir/bench/baseline_sim.json" --tolerance 0.5
-rm -rf "$sim_dir"
+# bench_mcmp re-simulates every workload and the lazy-vs-prerouted
+# acceptance run; completion cycles / hop and event counts / sim_identical
+# must match the committed baseline exactly, lazy_speedup and sim_rps only
+# loosely (machine speed).
+scripts/bench_gate.sh build/bench/bench_mcmp bench/baseline_sim.json
+
+echo "== fault bench: connectivity, routing and MCMP degradation gate =="
+# The mcmp_degradation rows pin the fault-mode event core (delivered,
+# timeouts, retransmissions, latency percentiles, event counts) exactly.
+scripts/bench_gate.sh build/bench/bench_fault bench/baseline_fault.json \
+  bench/baseline_fault.json
 
 echo "== chaos campaign: invariant-audited degradation gate =="
 # bench_chaos exits non-zero on any invariant violation or a transient
 # full-repair cell that misses the fault-free delivered fraction; the JSON
 # gate then pins the integer degradation surface (delivered / timeouts /
 # retransmissions / completion cycles per cell) to the committed baseline.
-chaos_dir="$(mktemp -d /tmp/scg-chaos.XXXXXX)"
-mkdir -p "$chaos_dir/bench"
-(cd "$chaos_dir" && "$repo_root/build/bench/bench_chaos" bench/baseline_chaos.json)
-python3 scripts/compare_bench.py bench/baseline_chaos.json \
-  "$chaos_dir/bench/baseline_chaos.json" --tolerance 0.5
-rm -rf "$chaos_dir"
+scripts/bench_gate.sh build/bench/bench_chaos bench/baseline_chaos.json \
+  bench/baseline_chaos.json
 
 echo "== serve smoke: concurrent RouteService, verified words =="
 # Small family, 2 workers; serve-bench exits non-zero on a conservation or
@@ -86,14 +69,9 @@ echo "== serve smoke: concurrent RouteService, verified words =="
 ./build/examples/scg_cli serve-bench MS 2 2 2 500
 
 echo "== serving bench: SLO telemetry + shedding gate =="
-# Same scratch-dir pattern as the other gates: conservation / words_ok /
-# shed_nonzero must hold exactly, serve_rps only loosely (machine speed).
-serve_dir="$(mktemp -d /tmp/scg-serve.XXXXXX)"
-mkdir -p "$serve_dir/bench"
-(cd "$serve_dir" && "$repo_root/build/bench/bench_serve")
-python3 scripts/compare_bench.py bench/baseline_serve.json \
-  "$serve_dir/bench/baseline_serve.json" --tolerance 0.5
-rm -rf "$serve_dir"
+# conservation / words_ok / shed_nonzero must hold exactly, serve_rps only
+# loosely (machine speed).
+scripts/bench_gate.sh build/bench/bench_serve bench/baseline_serve.json
 
 echo "== sanitizers: asan+ubsan build, fast tests =="
 cmake --preset asan

@@ -10,9 +10,9 @@ identity fields (name / workload / k / pairs / flows / threads).  Two kinds
 of checks run on every matched row:
 
   * Invariants must be byte-equal: correctness flags (hops_agree,
-    paths_identical, sim_identical) and deterministic outputs (total_hops,
-    completion_cycles, packets).  These depend only on the seeded
-    workload, never on machine speed.
+    paths_identical, sim_identical) and deterministic outputs (hop,
+    cycle, packet, latency-percentile and event-core counters).  These
+    depend only on the seeded workload, never on machine speed.
   * Rates (fields ending in _rps or _speedup) must not regress:
     fresh >= tolerance * baseline.  The default tolerance is deliberately
     loose because CI hardware differs from the machine that wrote the
@@ -43,6 +43,17 @@ INVARIANT_FIELDS = {
     "total_hops",
     "completion_cycles",
     "packets",
+    # Simulator counters (bench/baseline_{sim,fault,chaos}.json): the event
+    # core is single-threaded and seeded, so hop, percentile and
+    # event-queue counts are exact integers.  route_chunks depends only on
+    # the packet count and chunk size.  The telemetry's wall-clock splits
+    # (routing_ns, transit_ns) are not here.
+    "offchip_hops",
+    "events",
+    "queue_peak",
+    "route_chunks",
+    "p50_latency",
+    "p99_latency",
     # cache_hits is deliberately absent: concurrent chunks can both miss
     # the same relative permutation, so the hit count varies with the
     # machine's core count.

@@ -6,7 +6,7 @@
 
 #include "chaos/adaptive_policy.hpp"
 #include "networks/route_policy.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/graph.hpp"
 #include "topology/metrics.hpp"
@@ -116,15 +116,15 @@ CampaignResult run_campaign(const std::vector<NetworkSpec>& families,
         const Rerouter rr = policy.rerouter();
         TeeObserver obs{&recorder, &policy};
         cell.result =
-            simulate_chaos(g, offchip, pairs, policy, ec, schedule, &rr, &obs);
+            simulate_events(g, offchip, pairs, policy, ec, schedule, &rr, &obs);
         cell.quarantines = policy.quarantine_count();
         cell.readmissions = policy.readmit_count();
       } else {
         const std::unique_ptr<RoutePolicy> policy =
             make_route_policy(cfg.policy, net);
         const Rerouter rr = make_rerouter(router);
-        cell.result = simulate_chaos(g, offchip, pairs, *policy, ec, schedule,
-                                     &rr, &recorder);
+        cell.result = simulate_events(g, offchip, pairs, *policy, ec, schedule,
+                                      &rr, &recorder);
       }
       cell.invariants = check_sim_invariants(g, offchip, pairs, ec, schedule,
                                              cell.result, recorder,

@@ -1,11 +1,12 @@
 // CampaignRunner — invariant-checked degradation sweeps.  For each network
 // family the runner sweeps a fault-rate x fault-kind grid: every cell
 // compiles a seeded chaos script (fault_schedule.hpp), drives the unified
-// event core through simulate_chaos with a complete rerouter, records the
-// full observer trace, and audits the run with check_sim_invariants.  The
-// output is a degradation surface — delivered fraction, latency, stretch
-// and retransmissions as functions of fault rate per kind — in which every
-// point is certified: zero invariant violations or the cell says so.
+// event core through simulate_events in fault mode with a complete
+// rerouter, records the full observer trace, and audits the run with
+// check_sim_invariants.  The output is a degradation surface — delivered
+// fraction, latency, stretch and retransmissions as functions of fault
+// rate per kind — in which every point is certified: zero invariant
+// violations or the cell says so.
 //
 // Two routing modes: "fault" (FaultRouter reroutes, the baseline) and
 // "adaptive" (AdaptiveFaultPolicy routes *and* observes, quarantining

@@ -142,6 +142,11 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
                         std::span<const FaultEvent> schedule,
                         const Rerouter* reroute, SimObserver* obs) {
   if (cfg.flits_per_packet < 1) throw std::invalid_argument("flits >= 1");
+  if (!cfg.fault_mode &&
+      (!schedule.empty() || reroute != nullptr || obs != nullptr)) {
+    throw std::invalid_argument(
+        "event core: a fault schedule, rerouter or observer needs fault_mode");
+  }
   const bool lazy = policy != nullptr;
   const bool faulty = cfg.fault_mode;
   const std::size_t n = lazy ? pairs.size() : packets.size();
@@ -424,56 +429,38 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
   return res;
 }
 
-/// Legacy LinkFault schedules are the kLinkFail-only slice of the taxonomy.
-std::vector<FaultEvent> as_chaos(std::span<const LinkFault> schedule) {
-  std::vector<FaultEvent> chaos;
-  chaos.reserve(schedule.size());
-  for (const LinkFault& f : schedule) {
-    chaos.push_back(FaultEvent::link_fail(f.time, f.u, f.v));
-  }
-  return chaos;
-}
-
 }  // namespace
 
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const SimPacket> packets,
                                const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule,
-                               const Rerouter* reroute) {
-  return run_core(g, offchip, packets, {}, nullptr, cfg, as_chaos(schedule),
-                  reroute, nullptr);
+                               std::span<const FaultEvent> schedule,
+                               const Rerouter* reroute, SimObserver* observer) {
+  return run_core(g, offchip, packets, {}, nullptr, cfg, schedule, reroute,
+                  observer);
 }
 
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const TrafficPair> pairs,
                                RoutePolicy& policy, const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule,
-                               const Rerouter* reroute) {
-  return run_core(g, offchip, {}, pairs, &policy, cfg, as_chaos(schedule),
-                  reroute, nullptr);
-}
-
-EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
-                              std::span<const SimPacket> packets,
-                              const EventSimConfig& cfg,
-                              std::span<const FaultEvent> schedule,
-                              const Rerouter* reroute, SimObserver* observer) {
-  EventSimConfig chaos_cfg = cfg;
-  chaos_cfg.fault_mode = true;
-  return run_core(g, offchip, packets, {}, nullptr, chaos_cfg, schedule,
-                  reroute, observer);
-}
-
-EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
-                              std::span<const TrafficPair> pairs,
-                              RoutePolicy& policy, const EventSimConfig& cfg,
-                              std::span<const FaultEvent> schedule,
-                              const Rerouter* reroute, SimObserver* observer) {
-  EventSimConfig chaos_cfg = cfg;
-  chaos_cfg.fault_mode = true;
-  return run_core(g, offchip, {}, pairs, &policy, chaos_cfg, schedule, reroute,
+                               std::span<const FaultEvent> schedule,
+                               const Rerouter* reroute, SimObserver* observer) {
+  return run_core(g, offchip, {}, pairs, &policy, cfg, schedule, reroute,
                   observer);
+}
+
+Rerouter make_rerouter(const FaultRouter& router) {
+  return [&router](std::uint64_t at, std::uint64_t dst,
+                   const FaultSet& faults) -> std::vector<std::uint32_t> {
+    const RouteOutcome outcome = router.route(at, dst, faults);
+    if (!outcome.delivered()) return {};
+    std::vector<std::uint32_t> path;
+    path.reserve(outcome.path.size());
+    for (const std::uint64_t u : outcome.path) {
+      path.push_back(static_cast<std::uint32_t>(u));
+    }
+    return path;
+  };
 }
 
 }  // namespace scg

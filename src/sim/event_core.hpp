@@ -1,19 +1,19 @@
-// The unified discrete-event simulation core.
+// The discrete-event simulation core.
 //
-// One engine subsumes the three simulators that used to be separate event
-// loops: store-and-forward MCMP is the `flits_per_packet == 1` point of the
-// virtual cut-through model, and degradation-under-failure is the same loop
-// with `fault_mode` on (a fault schedule accumulates into a FaultSet;
-// blocked hops time out, re-route through a pluggable Rerouter and
-// retransmit with exponential backoff).  simulate_mcmp,
-// simulate_mcmp_faulty and simulate_cut_through remain as thin wrappers
-// over this core and reproduce their historical results exactly: the event
-// ordering (a min-heap on time with implementation-stable tie handling),
-// the FIFO link-occupancy rule, and every accumulation order are preserved.
+// One event loop runs every simulation: store-and-forward MCMP is the
+// `flits_per_packet == 1` point of the virtual cut-through model, and
+// degradation-under-failure is the same loop with `fault_mode` on (a
+// FaultEvent schedule accumulates into a FaultSet and per-arc slow-down
+// multipliers; blocked hops time out, re-route through a pluggable Rerouter
+// and retransmit with exponential backoff).  Events pop from a min-heap
+// keyed on time alone, so events with equal times pop in libstdc++'s heap
+// order, which the C++ standard leaves unspecified; ROADMAP.md item 1(b)
+// plans to break such ties by insertion order instead.  Each link serves
+// hops FIFO in the order their events pop.
 //
 // Two ways to feed traffic:
 //  * pre-routed: a span of SimPacket whose paths were materialised up
-//    front (the legacy shape);
+//    front;
 //  * lazy: a span of TrafficPair plus a RoutePolicy — the core sorts the
 //    pairs by injection time and routes them in chunks through
 //    RoutePolicy::route_paths the first time a packet's event pops, so a
@@ -58,12 +58,11 @@ struct EventSimConfig {
   std::size_t route_chunk = 4096;
 };
 
-/// Superset of the legacy SimResult / FaultSimResult / CutThroughResult
-/// fields; the wrappers project out their slices.  Percentiles, timeout and
-/// stretch fields are populated only in fault mode.  `truncated` mirrors
-/// telemetry.truncated: the max_cycles watchdog tripped and every packet
-/// still in flight past the horizon was dropped — the counts are a valid
-/// partial state (conservation is asserted), not a silent stop.
+/// Percentiles, timeout and stretch fields are populated only in fault
+/// mode.  `truncated` mirrors telemetry.truncated: the max_cycles watchdog
+/// tripped and every packet still in flight past the horizon was dropped —
+/// the counts are a valid partial state (conservation is asserted), not a
+/// silent stop.
 struct EventSimResult {
   std::uint64_t packets = 0;
   std::uint64_t delivered = 0;
@@ -87,49 +86,44 @@ struct EventSimResult {
 
 /// Pre-routed entry point: every packet carries its path.  Paths whose hops
 /// are not arcs of `g` raise std::invalid_argument, as do paths not running
-/// src..dst.  `schedule` and `reroute` are consulted only in fault mode
-/// (a null `reroute` drops packets at the first blocked hop).
+/// src..dst.
+///
+/// The fault arguments need `cfg.fault_mode`; passing a non-empty
+/// `schedule`, a `reroute` or an `observer` with it off raises
+/// std::invalid_argument rather than silently running fault-free.  In fault
+/// mode the schedule applies in time order (stable, so same-cycle events
+/// resolve in script order): repairs remove entries from the accumulated
+/// FaultSet, node crashes take out every incident channel, and kLinkSlow
+/// multiplies the per-flit cycles of both directions of a channel
+/// (occupancy = flits * base_cycles * multiplier).  A packet reaching a
+/// dead hop waits `timeout_cycles`, asks `reroute` for a repaired path
+/// from its current node and retransmits after exponential backoff; it is
+/// dropped after `max_retransmits` attempts, when no surviving route
+/// exists, or at once when `reroute` is null.  `observer`, when non-null,
+/// receives every hop/timeout/delivery/drop synchronously (see
+/// SimObserver).
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const SimPacket> packets,
                                const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule = {},
-                               const Rerouter* reroute = nullptr);
+                               std::span<const FaultEvent> schedule = {},
+                               const Rerouter* reroute = nullptr,
+                               SimObserver* observer = nullptr);
 
 /// Lazy entry point: routes `pairs` through `policy` in injection-time
 /// order, `cfg.route_chunk` pairs per batch, the first time each packet's
 /// injection event pops.  Identical results to routing every pair up front
 /// and calling the pre-routed form (the event sequence does not depend on
-/// when paths materialise).
+/// when paths materialise).  The fault arguments are as above.
 EventSimResult simulate_events(const Graph& g, const OffchipTable& offchip,
                                std::span<const TrafficPair> pairs,
                                RoutePolicy& policy, const EventSimConfig& cfg,
-                               std::span<const LinkFault> schedule = {},
-                               const Rerouter* reroute = nullptr);
+                               std::span<const FaultEvent> schedule = {},
+                               const Rerouter* reroute = nullptr,
+                               SimObserver* observer = nullptr);
 
-/// Chaos entry points: the same event loop driven by the full fault
-/// taxonomy (FaultEvent) instead of permanent link kills only.  Repairs
-/// remove entries from the accumulated FaultSet, node crashes take out
-/// every incident channel, and kLinkSlow inflates the per-flit cycle count
-/// of both directions of a channel through the same path the OffchipTable
-/// classification feeds (occupancy = flits * base_cycles * multiplier).
-/// fault_mode is forced on — a chaos schedule is meaningless without the
-/// timeout/re-route/backoff machinery.  `observer`, when non-null, receives
-/// every hop/timeout/delivery/drop synchronously (see SimObserver).
-EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
-                              std::span<const SimPacket> packets,
-                              const EventSimConfig& cfg,
-                              std::span<const FaultEvent> schedule,
-                              const Rerouter* reroute = nullptr,
-                              SimObserver* observer = nullptr);
-
-/// Lazy chaos entry point (see the TrafficPair overload of simulate_events
-/// for the routing contract).
-EventSimResult simulate_chaos(const Graph& g, const OffchipTable& offchip,
-                              std::span<const TrafficPair> pairs,
-                              RoutePolicy& policy, const EventSimConfig& cfg,
-                              std::span<const FaultEvent> schedule,
-                              const Rerouter* reroute = nullptr,
-                              SimObserver* observer = nullptr);
+/// Adapts the fault-aware router into the Rerouter slot.  The router must
+/// outlive the returned callable.
+Rerouter make_rerouter(const FaultRouter& router);
 
 /// The canonical MCMP link classification for a Cayley network: nucleus
 /// generators are on-chip, super generators off-chip.

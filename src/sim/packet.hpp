@@ -1,10 +1,8 @@
-// Shared traffic value types for the simulation layer.
-//
-// Split out of mcmp.hpp so that every simulator (store-and-forward,
-// cut-through, fault-mode) can consume packets without dragging in the
-// fault-aware router: cutthrough.hpp used to transitively include
-// fault_router.hpp (and with it the whole engine + max-flow machinery) just
-// to see SimPacket.  This header depends only on the topology layer.
+// Shared value types for the simulation layer: packets, traffic pairs, the
+// FaultEvent schedule format, the observer hook and the per-arc link
+// classification.  This header depends only on the topology layer, so code
+// that only builds schedules or traffic (chaos/fault_schedule.hpp) does not
+// pull in the routing layer that sim/event_core.hpp needs.
 #pragma once
 
 #include <cstdint>
@@ -32,21 +30,7 @@ struct TrafficPair {
   std::uint64_t inject_time = 0;
 };
 
-struct SimConfig {
-  int onchip_cycles = 1;    ///< link occupancy of an on-chip hop
-  int offchip_cycles = 1;   ///< link occupancy of an off-chip hop (≈ d_I / w)
-};
-
-/// One scheduled link kill: from cycle `time` on, the u<->v channel is dead
-/// in both directions.
-struct LinkFault {
-  std::uint64_t time = 0;
-  std::uint64_t u = 0;
-  std::uint64_t v = 0;
-};
-
-/// The full fault taxonomy the chaos subsystem drives through the event
-/// core.  A LinkFault schedule is the kLinkFail-only special case.
+/// The fault taxonomy a fault-mode simulation schedule is written in.
 enum class FaultEventKind : std::uint8_t {
   kLinkFail,    ///< u<->v channel dies (both directions)
   kLinkRepair,  ///< u<->v channel comes back

@@ -55,12 +55,6 @@ Graph with_faults(const Graph& g, const FaultSet& faults) {
   return Graph::build(g.num_nodes(), g.directed(), edges);
 }
 
-Graph with_faults(const Graph& g, const std::vector<std::uint64_t>& failed_nodes,
-                  const std::vector<std::pair<std::uint64_t, std::uint64_t>>& failed_arcs) {
-  return with_faults(
-      g, FaultSet::of(failed_nodes, failed_arcs, /*undirected_links=*/!g.directed()));
-}
-
 bool connected_after_faults(const Graph& g, const FaultSet& faults) {
   const Graph h = with_faults(g, faults);
   std::uint64_t src = g.num_nodes();
@@ -82,13 +76,6 @@ bool connected_after_faults(const Graph& g, const FaultSet& faults) {
   if (!check(h)) return false;
   if (h.directed() && !check(h.reversed())) return false;
   return true;
-}
-
-bool connected_after_faults(
-    const Graph& g, const std::vector<std::uint64_t>& failed_nodes,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& failed_arcs) {
-  return connected_after_faults(
-      g, FaultSet::of(failed_nodes, failed_arcs, /*undirected_links=*/!g.directed()));
 }
 
 std::uint64_t edge_connectivity_pair(const Graph& g, std::uint64_t s,

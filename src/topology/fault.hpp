@@ -26,17 +26,9 @@ namespace scg {
 /// undirected graphs when the FaultSet was built with fail_link).
 Graph with_faults(const Graph& g, const FaultSet& faults);
 
-/// Legacy signature: `failed_arcs` lists (from,to) pairs; for undirected
-/// graphs both directions are dropped.
-Graph with_faults(const Graph& g, const std::vector<std::uint64_t>& failed_nodes,
-                  const std::vector<std::pair<std::uint64_t, std::uint64_t>>& failed_arcs);
-
 /// True if every surviving node can reach every other (ignoring removed
 /// nodes).  For directed graphs checks strong connectivity.
 bool connected_after_faults(const Graph& g, const FaultSet& faults);
-bool connected_after_faults(const Graph& g,
-                            const std::vector<std::uint64_t>& failed_nodes,
-                            const std::vector<std::pair<std::uint64_t, std::uint64_t>>& failed_arcs);
 
 /// Exact edge connectivity between two nodes: max number of edge-disjoint
 /// paths (unit-capacity max-flow, BFS augmenting).  Small graphs only.

@@ -87,7 +87,7 @@ class FaultSet {
     return {arcs_.begin(), arcs_.end()};
   }
 
-  /// Convenience constructor matching the legacy with_faults() signature.
+  /// Convenience constructor from failed-node and failed-(u,v) lists.
   /// `undirected_links` decides whether each (u,v) kills both directions.
   static FaultSet of(const std::vector<std::uint64_t>& failed_nodes,
                      const std::vector<std::pair<std::uint64_t, std::uint64_t>>&

@@ -17,7 +17,6 @@
 #include "networks/fault_router.hpp"
 #include "networks/route_policy.hpp"
 #include "sim/event_core.hpp"
-#include "sim/mcmp.hpp"
 #include "sim/workloads.hpp"
 #include "topology/fault.hpp"
 #include "topology/metrics.hpp"
@@ -208,15 +207,16 @@ TEST(TransientConvergence, RepairedBeforeTrafficIsByteIdentical) {
   ASSERT_LT(schedule_stats(schedule).last_event_time, 200u);
 
   EventSimConfig cfg;
+  cfg.fault_mode = true;
   cfg.offchip_cycles_per_flit = 2;
   const FaultRouter router(net);
   const Rerouter rr = make_rerouter(router);
 
   GamePolicy pol_a(net), pol_b(net);
   const EventSimResult with_faults =
-      simulate_chaos(g, offchip, pairs, pol_a, cfg, schedule, &rr);
+      simulate_events(g, offchip, pairs, pol_a, cfg, schedule, &rr);
   const EventSimResult fault_free =
-      simulate_chaos(g, offchip, pairs, pol_b, cfg, {}, &rr);
+      simulate_events(g, offchip, pairs, pol_b, cfg, {}, &rr);
 
   EXPECT_EQ(with_faults.delivered, fault_free.delivered);
   EXPECT_EQ(with_faults.dropped, 0u);
@@ -253,6 +253,7 @@ TEST(TransientConvergence, MidTrafficOutagesStillDeliverEverything) {
   const std::vector<FaultEvent> schedule = make_fault_schedule(g, script);
 
   EventSimConfig cfg;
+  cfg.fault_mode = true;
   cfg.offchip_cycles_per_flit = 2;
   cfg.max_retransmits = 32;
   const FaultRouter router(net);
@@ -260,9 +261,9 @@ TEST(TransientConvergence, MidTrafficOutagesStillDeliverEverything) {
   GamePolicy pol_a(net), pol_b(net);
   SimTraceRecorder trace;
   const EventSimResult with_faults =
-      simulate_chaos(g, offchip, pairs, pol_a, cfg, schedule, &rr, &trace);
+      simulate_events(g, offchip, pairs, pol_a, cfg, schedule, &rr, &trace);
   const EventSimResult fault_free =
-      simulate_chaos(g, offchip, pairs, pol_b, cfg, {}, &rr);
+      simulate_events(g, offchip, pairs, pol_b, cfg, {}, &rr);
 
   EXPECT_GT(with_faults.timeouts, 0u) << "outages never intersected traffic";
   EXPECT_EQ(with_faults.delivered_fraction, fault_free.delivered_fraction);
@@ -287,12 +288,13 @@ TEST(Watchdog, TruncatesWithConservation) {
       random_traffic_pairs(g.num_nodes(), 4, 23);
 
   EventSimConfig cfg;
+  cfg.fault_mode = true;
   cfg.offchip_cycles_per_flit = 2;
   cfg.max_cycles = 12;  // far below the congested completion time
   GamePolicy policy(net);
   SimTraceRecorder trace;
   const EventSimResult res =
-      simulate_chaos(g, offchip, pairs, policy, cfg, {}, nullptr, &trace);
+      simulate_events(g, offchip, pairs, policy, cfg, {}, nullptr, &trace);
 
   EXPECT_TRUE(res.truncated);
   EXPECT_TRUE(res.telemetry.truncated);
@@ -309,7 +311,7 @@ TEST(Watchdog, TruncatesWithConservation) {
   cfg.max_cycles = std::uint64_t{1} << 32;
   GamePolicy policy2(net);
   const EventSimResult full =
-      simulate_chaos(g, offchip, pairs, policy2, cfg, {});
+      simulate_events(g, offchip, pairs, policy2, cfg, {});
   EXPECT_FALSE(full.truncated);
   EXPECT_EQ(full.delivered, full.packets);
 }
@@ -335,13 +337,14 @@ TEST(InvariantChecker, CleanChaosRunPasses) {
   const std::vector<FaultEvent> schedule = make_fault_schedule(g, script);
 
   EventSimConfig cfg;
+  cfg.fault_mode = true;
   cfg.offchip_cycles_per_flit = 2;
   const FaultRouter router(net);
   const Rerouter rr = make_rerouter(router);
   GamePolicy policy(net);
   SimTraceRecorder trace;
   const EventSimResult res =
-      simulate_chaos(g, offchip, pairs, policy, cfg, schedule, &rr, &trace);
+      simulate_events(g, offchip, pairs, policy, cfg, schedule, &rr, &trace);
   const InvariantReport report =
       check_sim_invariants(g, offchip, pairs, cfg, schedule, res, trace);
   EXPECT_TRUE(report.ok()) << (report.messages.empty()
@@ -365,13 +368,14 @@ TEST(InvariantChecker, CatchesDoctoredCountersAndGhostHops) {
   const std::vector<FaultEvent> schedule = make_fault_schedule(g, script);
 
   EventSimConfig cfg;
+  cfg.fault_mode = true;
   cfg.offchip_cycles_per_flit = 2;
   const FaultRouter router(net);
   const Rerouter rr = make_rerouter(router);
   GamePolicy policy(net);
   SimTraceRecorder trace;
   const EventSimResult res =
-      simulate_chaos(g, offchip, pairs, policy, cfg, schedule, &rr, &trace);
+      simulate_events(g, offchip, pairs, policy, cfg, schedule, &rr, &trace);
   ASSERT_TRUE(
       check_sim_invariants(g, offchip, pairs, cfg, schedule, res, trace).ok());
 
@@ -526,6 +530,7 @@ TEST(AdaptivePolicy, EndToEndFailSlowRunQuarantinesAndDeliversAll) {
   const std::vector<FaultEvent> schedule = make_fault_schedule(g, script);
 
   EventSimConfig cfg;
+  cfg.fault_mode = true;
   cfg.offchip_cycles_per_flit = 2;
   cfg.route_chunk = 64;  // feedback lands between lazy routing chunks
   AdaptiveFaultPolicy policy(net);
@@ -533,7 +538,7 @@ TEST(AdaptivePolicy, EndToEndFailSlowRunQuarantinesAndDeliversAll) {
   SimTraceRecorder trace;
   TeeObserver obs{&trace, &policy};
   const EventSimResult res =
-      simulate_chaos(g, offchip, pairs, policy, cfg, schedule, &rr, &obs);
+      simulate_events(g, offchip, pairs, policy, cfg, schedule, &rr, &obs);
 
   EXPECT_EQ(res.delivered, res.packets) << "fail-slow must not drop packets";
   EXPECT_GT(policy.quarantine_count(), 0u)

@@ -60,6 +60,21 @@ class CompareBenchTest(unittest.TestCase):
         self.assertIn("hops_agree", out)
         self.assertIn("must be identical", out)
 
+    def test_simulator_counters_are_invariants(self):
+        base = {"workloads": [{"name": "MS(2,2)", "workload": "rand",
+                               "offchip_hops": 10, "events": 20,
+                               "queue_peak": 30, "route_chunks": 4,
+                               "p50_latency": 5, "p99_latency": 9}]}
+        for field in ("offchip_hops", "events", "queue_peak",
+                      "route_chunks", "p50_latency", "p99_latency"):
+            with self.subTest(field=field):
+                fresh = json.loads(json.dumps(base))
+                fresh["workloads"][0][field] += 1
+                rc, out = run(base, fresh)
+                self.assertEqual(rc, 1, out)
+                self.assertIn(f"{field}: ", out)
+                self.assertIn("must be identical", out)
+
     def test_rate_regression_fails(self):
         fresh = json.loads(json.dumps(GOOD))
         fresh["engine"][0]["route_rps"] = 1.0

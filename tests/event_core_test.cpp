@@ -1,7 +1,7 @@
 // Unified event core: golden equality against verbatim copies of the seed
 // simulators (the three standalone event loops the core replaced), lazy
-// injection-time routing == pre-routed-path equivalence, the RoutePolicy
-// registry, and telemetry invariants.
+// injection-time routing == pre-routed-path equivalence, the fault-mode
+// precondition, the RoutePolicy registry, and telemetry invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +10,10 @@
 #include <random>
 
 #include "analysis/oracle_audit.hpp"
+#include "chaos/invariants.hpp"
 #include "networks/oracle_policy.hpp"
 #include "networks/route_policy.hpp"
-#include "sim/cutthrough.hpp"
 #include "sim/event_core.hpp"
-#include "sim/mcmp.hpp"
 #include "sim/workloads.hpp"
 #include "topology/baselines.hpp"
 #include "topology/metrics.hpp"
@@ -24,14 +23,14 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Reference implementations: the seed event loops, copied verbatim (modulo
-// names).  The wrappers must reproduce these bit-for-bit — including the
-// double accumulation orders — on any valid workload.
+// names and the config/result/schedule types).  simulate_events must
+// reproduce these bit-for-bit — including the double accumulation orders —
+// on any valid workload.
 // ---------------------------------------------------------------------------
 
-SimResult ref_simulate_mcmp(const Graph& g,
-                            const std::function<bool(std::int32_t)>& is_offchip,
-                            std::vector<SimPacket> packets,
-                            const SimConfig& cfg) {
+EventSimResult ref_simulate_mcmp(
+    const Graph& g, const std::function<bool(std::int32_t)>& is_offchip,
+    std::vector<SimPacket> packets, const EventSimConfig& cfg) {
   struct Event {
     std::uint64_t time;
     std::uint32_t packet;
@@ -39,7 +38,7 @@ SimResult ref_simulate_mcmp(const Graph& g,
     bool operator>(const Event& o) const { return time > o.time; }
   };
 
-  SimResult res;
+  EventSimResult res;
   res.packets = packets.size();
   std::vector<std::uint64_t> link_free(g.num_links(), 0);
   std::vector<std::uint64_t> link_busy(g.num_links(), 0);
@@ -59,8 +58,8 @@ SimResult ref_simulate_mcmp(const Graph& g,
     }
     const std::uint64_t arc = g.find_arc(pk.path[ev.hop], pk.path[ev.hop + 1]);
     const bool off = is_offchip(g.arc_tag(arc));
-    const std::uint64_t occ =
-        static_cast<std::uint64_t>(off ? cfg.offchip_cycles : cfg.onchip_cycles);
+    const std::uint64_t occ = static_cast<std::uint64_t>(
+        off ? cfg.offchip_cycles_per_flit : cfg.onchip_cycles_per_flit);
     const std::uint64_t start = std::max(ev.time, link_free[arc]);
     link_free[arc] = start + occ;
     link_busy[arc] += occ;
@@ -78,10 +77,11 @@ SimResult ref_simulate_mcmp(const Graph& g,
   return res;
 }
 
-FaultSimResult ref_simulate_mcmp_faulty(
+/// `schedule` holds kLinkFail events only, the seed loop's fault model.
+EventSimResult ref_simulate_mcmp_faulty(
     const Graph& g, const std::function<bool(std::int32_t)>& is_offchip,
-    std::vector<SimPacket> packets, std::vector<LinkFault> schedule,
-    const Rerouter& reroute, const FaultSimConfig& cfg) {
+    std::vector<SimPacket> packets, std::vector<FaultEvent> schedule,
+    const Rerouter& reroute, const EventSimConfig& cfg) {
   struct Event {
     std::uint64_t time;
     std::uint32_t packet;
@@ -94,15 +94,17 @@ FaultSimResult ref_simulate_mcmp_faulty(
     std::uint64_t hops_walked = 0;
   };
 
-  FaultSimResult res;
+  EventSimResult res;
   res.packets = packets.size();
   std::sort(schedule.begin(), schedule.end(),
-            [](const LinkFault& a, const LinkFault& b) { return a.time < b.time; });
+            [](const FaultEvent& a, const FaultEvent& b) {
+              return a.time < b.time;
+            });
   FaultSet faults;
   std::size_t next_fault = 0;
   const auto apply_faults_until = [&](std::uint64_t now) {
     while (next_fault < schedule.size() && schedule[next_fault].time <= now) {
-      const LinkFault& f = schedule[next_fault++];
+      const FaultEvent& f = schedule[next_fault++];
       faults.fail_link(f.u, f.v);
     }
   };
@@ -164,8 +166,8 @@ FaultSimResult ref_simulate_mcmp_faulty(
     }
     const std::uint64_t arc = g.find_arc(u, v);
     const bool off = is_offchip(g.arc_tag(arc));
-    const std::uint64_t occ =
-        static_cast<std::uint64_t>(off ? cfg.offchip_cycles : cfg.onchip_cycles);
+    const std::uint64_t occ = static_cast<std::uint64_t>(
+        off ? cfg.offchip_cycles_per_flit : cfg.onchip_cycles_per_flit);
     const std::uint64_t start = std::max(ev.time, link_free[arc]);
     link_free[arc] = start + occ;
     link_busy[arc] += occ;
@@ -202,9 +204,9 @@ FaultSimResult ref_simulate_mcmp_faulty(
   return res;
 }
 
-CutThroughResult ref_simulate_cut_through(
+EventSimResult ref_simulate_cut_through(
     const Graph& g, const std::function<bool(std::int32_t)>& is_offchip,
-    std::vector<SimPacket> packets, const CutThroughConfig& cfg) {
+    std::vector<SimPacket> packets, const EventSimConfig& cfg) {
   struct Event {
     std::uint64_t ready;
     std::uint32_t packet;
@@ -212,7 +214,7 @@ CutThroughResult ref_simulate_cut_through(
     bool operator>(const Event& o) const { return ready > o.ready; }
   };
 
-  CutThroughResult res;
+  EventSimResult res;
   res.packets = packets.size();
   const std::uint64_t flits = static_cast<std::uint64_t>(cfg.flits_per_packet);
   std::vector<std::uint64_t> link_free(g.num_links(), 0);
@@ -283,14 +285,14 @@ std::vector<SimPacket> staggered(std::vector<SimPacket> pkts) {
 
 /// A link-kill schedule drawn from hops the workload actually uses, so the
 /// fault machinery (timeout / re-route / backoff) genuinely fires.
-std::vector<LinkFault> kills_from(const std::vector<SimPacket>& pkts) {
-  std::vector<LinkFault> schedule;
+std::vector<FaultEvent> kills_from(const std::vector<SimPacket>& pkts) {
+  std::vector<FaultEvent> schedule;
   for (std::size_t i = 0; i < pkts.size() && schedule.size() < 6; i += 37) {
     const auto& path = pkts[i].path;
     if (path.size() < 3) continue;
     const std::size_t mid = path.size() / 2;
-    schedule.push_back(LinkFault{3 + 11 * schedule.size(), path[mid],
-                                 path[mid + 1]});
+    schedule.push_back(FaultEvent::link_fail(3 + 11 * schedule.size(),
+                                             path[mid], path[mid + 1]));
   }
   return schedule;
 }
@@ -311,18 +313,19 @@ std::vector<Family> golden_families() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden equality: wrappers vs the seed loops
+// Golden equality: simulate_events vs the seed loops
 // ---------------------------------------------------------------------------
 
 TEST(GoldenEquality, StoreAndForwardMatchesSeedAcrossFamilies) {
   for (const Family& f : golden_families()) {
     const Graph g = materialize(f.net);
     const auto pkts = staggered(random_traffic_packets(f.net, 4, 7));
-    SimConfig cfg;
-    cfg.onchip_cycles = 1;
-    cfg.offchip_cycles = std::max(1, f.net.intercluster_degree());
-    const SimResult want = ref_simulate_mcmp(g, offchip_of(f.net), pkts, cfg);
-    const SimResult got = simulate_mcmp(g, offchip_of(f.net), pkts, cfg);
+    EventSimConfig cfg;
+    cfg.offchip_cycles_per_flit = std::max(1, f.net.intercluster_degree());
+    const EventSimResult want =
+        ref_simulate_mcmp(g, offchip_of(f.net), pkts, cfg);
+    const EventSimResult got =
+        simulate_events(g, mcmp_offchip_table(f.net, g), pkts, cfg);
     EXPECT_EQ(got.completion_cycles, want.completion_cycles) << f.label;
     EXPECT_EQ(got.avg_latency, want.avg_latency) << f.label;
     EXPECT_EQ(got.packets, want.packets) << f.label;
@@ -334,13 +337,14 @@ TEST(GoldenEquality, StoreAndForwardMatchesSeedAcrossFamilies) {
 
 TEST(GoldenEquality, StoreAndForwardMatchesSeedOnExplicitGraphs) {
   const Graph graphs[] = {make_hypercube(4), make_torus_2d(4, 5), make_ring(12)};
+  const auto all = [](std::int32_t) { return true; };
   for (const Graph& g : graphs) {
     const auto pkts = staggered(random_traffic_packets(g, 5, 23));
-    SimConfig cfg;
-    cfg.offchip_cycles = 3;
-    const auto all = [](std::int32_t) { return true; };
-    const SimResult want = ref_simulate_mcmp(g, all, pkts, cfg);
-    const SimResult got = simulate_mcmp(g, all, pkts, cfg);
+    EventSimConfig cfg;
+    cfg.offchip_cycles_per_flit = 3;
+    const EventSimResult want = ref_simulate_mcmp(g, all, pkts, cfg);
+    const EventSimResult got =
+        simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
     EXPECT_EQ(got.completion_cycles, want.completion_cycles);
     EXPECT_EQ(got.avg_latency, want.avg_latency);
     EXPECT_EQ(got.total_hops, want.total_hops);
@@ -348,20 +352,56 @@ TEST(GoldenEquality, StoreAndForwardMatchesSeedOnExplicitGraphs) {
   }
 }
 
+// At one flit per packet the seed cut-through loop models the same FIFO
+// links as the seed store-and-forward loop: the two seed loops must agree
+// with each other, and the core (which replaced both) with each of them.
+class OneFlitEquivalence : public testing::TestWithParam<int> {};
+
+TEST_P(OneFlitEquivalence, CutThroughEqualsStoreAndForward) {
+  const int occupancy = GetParam();
+  const Graph graphs[] = {make_ring(10), make_hypercube(4), make_torus_2d(4, 5),
+                          make_mesh_2d(3, 6)};
+  const auto all = [](std::int32_t) { return true; };
+  for (const Graph& g : graphs) {
+    const auto pkts = staggered(random_traffic_packets(
+        g, 4, 17 + static_cast<std::uint64_t>(occupancy)));
+    EventSimConfig cfg;
+    cfg.onchip_cycles_per_flit = occupancy;
+    cfg.offchip_cycles_per_flit = occupancy;
+    const EventSimResult saf = ref_simulate_mcmp(g, all, pkts, cfg);
+    const EventSimResult ct = ref_simulate_cut_through(g, all, pkts, cfg);
+    EXPECT_EQ(ct.completion_cycles, saf.completion_cycles);
+    EXPECT_EQ(ct.avg_latency, saf.avg_latency);
+    EXPECT_EQ(ct.flit_hops, saf.total_hops);
+    EXPECT_EQ(ct.max_link_busy, saf.max_link_busy);
+    const EventSimResult got =
+        simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
+    EXPECT_EQ(got.completion_cycles, saf.completion_cycles);
+    EXPECT_EQ(got.avg_latency, saf.avg_latency);
+    EXPECT_EQ(got.total_hops, saf.total_hops);
+    EXPECT_EQ(got.flit_hops, ct.flit_hops);
+    EXPECT_EQ(got.max_link_busy, saf.max_link_busy);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Occupancies, OneFlitEquivalence,
+                         testing::Values(1, 2, 5));
+
 TEST(GoldenEquality, FaultyMatchesSeedAcrossFamilies) {
   std::uint64_t exercised = 0;
   for (const Family& f : golden_families()) {
     const Graph g = materialize(f.net);
     const auto pkts = staggered(random_traffic_packets(f.net, 4, 11));
-    const std::vector<LinkFault> schedule = kills_from(pkts);
+    const std::vector<FaultEvent> schedule = kills_from(pkts);
     const FaultRouter router(f.net);
     const Rerouter reroute = make_rerouter(router);
-    FaultSimConfig cfg;
-    cfg.offchip_cycles = std::max(1, f.net.intercluster_degree());
-    const FaultSimResult want = ref_simulate_mcmp_faulty(
+    EventSimConfig cfg;
+    cfg.fault_mode = true;
+    cfg.offchip_cycles_per_flit = std::max(1, f.net.intercluster_degree());
+    const EventSimResult want = ref_simulate_mcmp_faulty(
         g, offchip_of(f.net), pkts, schedule, reroute, cfg);
-    const FaultSimResult got = simulate_mcmp_faulty(
-        g, offchip_of(f.net), pkts, schedule, reroute, cfg);
+    const EventSimResult got = simulate_events(
+        g, mcmp_offchip_table(f.net, g), pkts, cfg, schedule, &reroute);
     EXPECT_EQ(got.packets, want.packets) << f.label;
     EXPECT_EQ(got.delivered, want.delivered) << f.label;
     EXPECT_EQ(got.dropped, want.dropped) << f.label;
@@ -389,13 +429,13 @@ TEST(GoldenEquality, CutThroughMatchesSeedAcrossFamilies) {
     const Graph g = materialize(f.net);
     const auto pkts = staggered(random_traffic_packets(f.net, 3, 31));
     for (const int flits : {1, 4}) {
-      CutThroughConfig cfg;
+      EventSimConfig cfg;
       cfg.flits_per_packet = flits;
       cfg.offchip_cycles_per_flit = std::max(1, f.net.intercluster_degree());
-      const CutThroughResult want =
+      const EventSimResult want =
           ref_simulate_cut_through(g, offchip_of(f.net), pkts, cfg);
-      const CutThroughResult got =
-          simulate_cut_through(g, offchip_of(f.net), pkts, cfg);
+      const EventSimResult got =
+          simulate_events(g, mcmp_offchip_table(f.net, g), pkts, cfg);
       EXPECT_EQ(got.completion_cycles, want.completion_cycles)
           << f.label << " flits=" << flits;
       EXPECT_EQ(got.avg_latency, want.avg_latency)
@@ -479,7 +519,7 @@ TEST(LazyRouting, EqualsPreroutedUnderFaults) {
       staggered_pairs(random_traffic_pairs(net.num_nodes(), 4, 17));
   GamePolicy pre_policy(net);
   const std::vector<SimPacket> pkts = packets_for(pre_policy, pairs);
-  const std::vector<LinkFault> schedule = kills_from(pkts);
+  const std::vector<FaultEvent> schedule = kills_from(pkts);
   const FaultRouter router(net);
   const Rerouter reroute = make_rerouter(router);
   EventSimConfig cfg;
@@ -499,6 +539,49 @@ TEST(LazyRouting, EqualsPreroutedUnderFaults) {
   EXPECT_EQ(lazy.avg_latency, pre.avg_latency);
   EXPECT_EQ(lazy.avg_stretch, pre.avg_stretch);
   EXPECT_EQ(lazy.max_link_busy, pre.max_link_busy);
+}
+
+// ---------------------------------------------------------------------------
+// Fault arguments need fault_mode
+// ---------------------------------------------------------------------------
+
+TEST(FaultModePrecondition, RejectsScheduleRerouterAndObserverWhenOff) {
+  // Ignoring them instead would silently turn a faulty run into a
+  // fault-free one.
+  const NetworkSpec net = make_macro_star(2, 2);
+  const Graph g = materialize(net);
+  const OffchipTable offchip = mcmp_offchip_table(net, g);
+  const auto pairs = random_traffic_pairs(net.num_nodes(), 2, 3);
+  GamePolicy policy(net);
+  const std::vector<SimPacket> pkts = packets_for(policy, pairs);
+  const std::vector<FaultEvent> schedule = {
+      FaultEvent::link_fail(0, pkts[0].path[0], pkts[0].path[1])};
+  const FaultRouter router(net);
+  const Rerouter reroute = make_rerouter(router);
+  SimTraceRecorder observer;
+
+  EventSimConfig cfg;
+  ASSERT_FALSE(cfg.fault_mode);
+  EXPECT_THROW(simulate_events(g, offchip, pkts, cfg, schedule),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_events(g, offchip, pkts, cfg, {}, &reroute),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_events(g, offchip, pkts, cfg, {}, nullptr, &observer),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_events(g, offchip, pairs, policy, cfg, schedule),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_events(g, offchip, pairs, policy, cfg, {}, &reroute),
+               std::invalid_argument);
+  EXPECT_THROW(
+      simulate_events(g, offchip, pairs, policy, cfg, {}, nullptr, &observer),
+      std::invalid_argument);
+
+  // The same arguments run in fault mode, and the kill is honoured.
+  cfg.fault_mode = true;
+  const EventSimResult r =
+      simulate_events(g, offchip, pkts, cfg, schedule, &reroute, &observer);
+  EXPECT_GE(r.timeouts, 1u);
+  EXPECT_EQ(r.delivered + r.dropped, r.packets);
 }
 
 // ---------------------------------------------------------------------------
@@ -606,8 +689,8 @@ TEST(Telemetry, CountsEventsAndQueuePeak) {
   const NetworkSpec net = make_macro_star(2, 2);
   const Graph g = materialize(net);
   const auto pkts = total_exchange_packets(net);
-  SimConfig cfg;
-  const SimResult r = simulate_mcmp(g, mcmp_offchip_table(net, g), pkts, cfg);
+  const EventSimResult r =
+      simulate_events(g, mcmp_offchip_table(net, g), pkts, EventSimConfig{});
   // Without faults every packet pops one event per path node: hops transit
   // events plus the arrival event.
   EXPECT_EQ(r.telemetry.events_processed, r.total_hops + r.packets);

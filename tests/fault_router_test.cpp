@@ -12,7 +12,7 @@
 #include "collectives/collectives.hpp"
 #include "networks/fault_router.hpp"
 #include "networks/router.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "topology/bfs.hpp"
 #include "topology/fault.hpp"
 #include "topology/fault_set.hpp"
@@ -277,8 +277,6 @@ TEST(WordFromPath, ThrowsOnNonAdjacentHop) {
 
 // ---- degradation simulation ----
 
-const auto kAllOffchip = [](std::int32_t) { return true; };
-
 std::vector<SimPacket> routed_packets(const FaultRouter& router, int count,
                                       std::uint64_t seed) {
   const NetworkSpec& net = router.spec();
@@ -305,9 +303,12 @@ TEST(FaultySim, EmptyScheduleMatchesPlainSimulator) {
   const Graph g = materialize(net);
   const FaultRouter router(net);
   const std::vector<SimPacket> pkts = routed_packets(router, 50, 7);
-  const SimResult plain = simulate_mcmp(g, kAllOffchip, pkts, SimConfig{});
-  const FaultSimResult faulty = simulate_mcmp_faulty(
-      g, kAllOffchip, pkts, {}, make_rerouter(router), FaultSimConfig{});
+  const OffchipTable offchip = OffchipTable::uniform(g, true);
+  const EventSimResult plain =
+      simulate_events(g, offchip, pkts, EventSimConfig{});
+  const Rerouter reroute = make_rerouter(router);
+  const EventSimResult faulty = simulate_events(
+      g, offchip, pkts, EventSimConfig{.fault_mode = true}, {}, &reroute);
   EXPECT_EQ(faulty.delivered, faulty.packets);
   EXPECT_EQ(faulty.dropped, 0u);
   EXPECT_EQ(faulty.delivered_fraction, 1.0);
@@ -327,11 +328,13 @@ TEST(FaultySim, MidRunLinkKillRetransmitsAndDelivers) {
   // Kill the first hop of packet 0 before it moves: a timeout + re-route is
   // forced, and edge connectivity 3 > 2 kills keeps everything deliverable.
   ASSERT_GE(pkts[0].path.size(), 2u);
-  std::vector<LinkFault> schedule;
-  schedule.push_back(LinkFault{0, pkts[0].path[0], pkts[0].path[1]});
-  schedule.push_back(LinkFault{5, pkts[1].path[0], pkts[1].path[1]});
-  const FaultSimResult r = simulate_mcmp_faulty(
-      g, kAllOffchip, pkts, schedule, make_rerouter(router), FaultSimConfig{});
+  const std::vector<FaultEvent> schedule = {
+      FaultEvent::link_fail(0, pkts[0].path[0], pkts[0].path[1]),
+      FaultEvent::link_fail(5, pkts[1].path[0], pkts[1].path[1])};
+  const Rerouter reroute = make_rerouter(router);
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, true), pkts,
+                      EventSimConfig{.fault_mode = true}, schedule, &reroute);
   EXPECT_EQ(r.delivered + r.dropped, r.packets);
   EXPECT_EQ(r.delivered, r.packets);  // 2 link faults < edge connectivity
   EXPECT_GE(r.timeouts, 1u);
@@ -353,12 +356,14 @@ TEST(FaultySim, UnreachableDestinationIsDroppedNotCrashed) {
   pkts[0].src = 0;
   pkts[0].dst = dst;
   pkts[0].path.assign(out.path.begin(), out.path.end());
-  std::vector<LinkFault> schedule;  // cut the destination off at time 0
+  std::vector<FaultEvent> schedule;  // cut the destination off at time 0
   view.for_each_neighbor(dst, [&](std::uint64_t v, std::int32_t) {
-    schedule.push_back(LinkFault{0, dst, v});
+    schedule.push_back(FaultEvent::link_fail(0, dst, v));
   });
-  const FaultSimResult r = simulate_mcmp_faulty(
-      g, kAllOffchip, pkts, schedule, make_rerouter(router), FaultSimConfig{});
+  const Rerouter reroute = make_rerouter(router);
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, true), pkts,
+                      EventSimConfig{.fault_mode = true}, schedule, &reroute);
   EXPECT_EQ(r.delivered, 0u);
   EXPECT_EQ(r.dropped, 1u);
   EXPECT_EQ(r.delivered_fraction, 0.0);

@@ -190,7 +190,7 @@ TEST(SampleRandomFaults, ExactCountsBelowThreshold) {
 
 TEST(WithFaults, RemovesNodesAndLinks) {
   const Graph g = make_ring(6);
-  const Graph h = with_faults(g, {2}, {{0, 1}});
+  const Graph h = with_faults(g, FaultSet::of({2}, {{0, 1}}));
   EXPECT_EQ(h.out_degree(2), 0u);
   EXPECT_EQ(h.find_arc(0, 1), h.num_links());
   EXPECT_EQ(h.find_arc(1, 0), h.num_links());  // undirected: both dropped
@@ -200,17 +200,23 @@ TEST(WithFaults, RemovesNodesAndLinks) {
 
 TEST(ConnectedAfterFaults, DetectsDisconnection) {
   const Graph g = make_ring(6);
-  EXPECT_TRUE(connected_after_faults(g, {}, {}));
-  EXPECT_TRUE(connected_after_faults(g, {}, {{0, 1}}));        // still a path
-  EXPECT_FALSE(connected_after_faults(g, {}, {{0, 1}, {3, 4}}));  // split
-  EXPECT_TRUE(connected_after_faults(g, {0}, {}));             // path remains
-  EXPECT_FALSE(connected_after_faults(g, {0, 3}, {}));         // split
+  EXPECT_TRUE(connected_after_faults(g, FaultSet::of({}, {})));
+  // still a path:
+  EXPECT_TRUE(connected_after_faults(g, FaultSet::of({}, {{0, 1}})));
+  // split:
+  EXPECT_FALSE(connected_after_faults(g, FaultSet::of({}, {{0, 1}, {3, 4}})));
+  // path remains:
+  EXPECT_TRUE(connected_after_faults(g, FaultSet::of({0}, {})));
+  // split:
+  EXPECT_FALSE(connected_after_faults(g, FaultSet::of({0, 3}, {})));
 }
 
 TEST(ConnectedAfterFaults, TrivialCases) {
   const Graph g = make_ring(4);
-  EXPECT_TRUE(connected_after_faults(g, {0, 1, 2}, {}));  // single survivor
-  EXPECT_TRUE(connected_after_faults(g, {0, 1, 2, 3}, {}));  // none
+  // single survivor:
+  EXPECT_TRUE(connected_after_faults(g, FaultSet::of({0, 1, 2}, {})));
+  // none:
+  EXPECT_TRUE(connected_after_faults(g, FaultSet::of({0, 1, 2, 3}, {})));
 }
 
 TEST(FaultTolerance, DegreeMinusOneLinkFailuresNeverDisconnect) {

@@ -3,8 +3,8 @@
 // Permutation reference for all k in 2..20 and awkward batch sizes (tails
 // that are not a multiple of any vector width).  Then the consumer-level
 // identities the kernels must preserve end to end: route words on all
-// eleven families, an oracle table, and a full SimResult, each equal under
-// the scalar tier and the best tier.
+// eleven families, an oracle table, and a full EventSimResult, each equal
+// under the scalar tier and the best tier.
 #include "core/perm_kernels.hpp"
 
 #include <gtest/gtest.h>

@@ -1,13 +1,13 @@
-// Cross-model property tests: with 1-flit packets, the cut-through
-// simulator must agree exactly with the store-and-forward simulator on any
-// workload — the two engines implement the same FIFO-link contention model
-// at that degenerate point.  Randomised over topologies and packet sets.
+// Cross-model property tests over randomised topologies and packet sets:
+// multi-flit cut-through against store-and-forward at the same packet
+// serialisation, plus determinism and conservation.  (That the two models
+// agree exactly at one flit per packet is checked against both seed loops
+// in event_core_test's OneFlitEquivalence suite.)
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "sim/cutthrough.hpp"
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/baselines.hpp"
 #include "topology/metrics.hpp"
@@ -35,34 +35,6 @@ std::vector<SimPacket> random_packets(const Graph& g, int count,
   return pkts;
 }
 
-class OneFlitEquivalence : public testing::TestWithParam<int> {};
-
-TEST_P(OneFlitEquivalence, CutThroughEqualsStoreAndForward) {
-  const int occupancy = GetParam();
-  const Graph graphs[] = {make_ring(10), make_hypercube(4), make_torus_2d(4, 5),
-                          make_mesh_2d(3, 6)};
-  for (const Graph& g : graphs) {
-    const auto pkts = random_packets(g, 60, 17 + static_cast<unsigned>(occupancy));
-    SimConfig sf;
-    sf.onchip_cycles = occupancy;
-    sf.offchip_cycles = occupancy;
-    const SimResult a = simulate_mcmp(
-        g, [](std::int32_t) { return true; }, pkts, sf);
-    CutThroughConfig ct;
-    ct.flits_per_packet = 1;
-    ct.onchip_cycles_per_flit = occupancy;
-    ct.offchip_cycles_per_flit = occupancy;
-    const CutThroughResult b = simulate_cut_through(
-        g, [](std::int32_t) { return true; }, pkts, ct);
-    EXPECT_EQ(a.completion_cycles, b.completion_cycles);
-    EXPECT_NEAR(a.avg_latency, b.avg_latency, 1e-9);
-    EXPECT_EQ(a.total_hops, b.flit_hops);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Occupancies, OneFlitEquivalence,
-                         testing::Values(1, 2, 5));
-
 TEST(CutThroughVsSaf, PipeliningHelpsUpToSchedulingAnomalies) {
   // With F flits, cut-through pipelines hops.  Under contention, FIFO
   // arbitration anomalies can cost a few cycles (earlier-ready packets can
@@ -71,16 +43,15 @@ TEST(CutThroughVsSaf, PipeliningHelpsUpToSchedulingAnomalies) {
   const Graph graphs[] = {make_ring(12), make_hypercube(5), make_torus_2d(5, 5)};
   for (const Graph& g : graphs) {
     const auto pkts = random_packets(g, 80, 99);
+    const OffchipTable all = OffchipTable::uniform(g, true);
     for (int flits : {2, 4, 8}) {
-      SimConfig sf;
-      sf.onchip_cycles = flits;
-      sf.offchip_cycles = flits;
-      const SimResult a = simulate_mcmp(
-          g, [](std::int32_t) { return true; }, pkts, sf);
-      CutThroughConfig ct;
+      EventSimConfig sf;
+      sf.onchip_cycles_per_flit = flits;
+      sf.offchip_cycles_per_flit = flits;
+      const EventSimResult a = simulate_events(g, all, pkts, sf);
+      EventSimConfig ct;
       ct.flits_per_packet = flits;
-      const CutThroughResult b = simulate_cut_through(
-          g, [](std::int32_t) { return true; }, pkts, ct);
+      const EventSimResult b = simulate_events(g, all, pkts, ct);
       EXPECT_LE(b.completion_cycles,
                 a.completion_cycles + static_cast<std::uint64_t>(flits))
           << "flits=" << flits;
@@ -94,19 +65,19 @@ TEST(CutThroughVsSaf, LonePacketStrictlyFasterOnMultiHopPaths) {
   // Without contention there is no anomaly: (h-1+F)c < h*F*c for h,F >= 2.
   const Graph g = make_ring(12);
   GraphRoutes routes(g);
-  SimPacket p;
-  p.src = 0;
-  p.dst = 6;
-  p.path = routes.path(0, 6);
+  const OffchipTable all = OffchipTable::uniform(g, true);
+  std::vector<SimPacket> pkts(1);
+  pkts[0].src = 0;
+  pkts[0].dst = 6;
+  pkts[0].path = routes.path(0, 6);
   for (int flits : {2, 4, 8}) {
-    SimConfig sf;
-    sf.onchip_cycles = flits;
-    sf.offchip_cycles = flits;
-    const SimResult a = simulate_mcmp(g, [](std::int32_t) { return true; }, {p}, sf);
-    CutThroughConfig ct;
+    EventSimConfig sf;
+    sf.onchip_cycles_per_flit = flits;
+    sf.offchip_cycles_per_flit = flits;
+    const EventSimResult a = simulate_events(g, all, pkts, sf);
+    EventSimConfig ct;
     ct.flits_per_packet = flits;
-    const CutThroughResult b =
-        simulate_cut_through(g, [](std::int32_t) { return true; }, {p}, ct);
+    const EventSimResult b = simulate_events(g, all, pkts, ct);
     EXPECT_LT(b.completion_cycles, a.completion_cycles) << "flits=" << flits;
   }
 }
@@ -114,10 +85,11 @@ TEST(CutThroughVsSaf, LonePacketStrictlyFasterOnMultiHopPaths) {
 TEST(SimulatorDeterminism, RepeatRunsAgree) {
   const Graph g = make_torus_2d(4, 4);
   const auto pkts = random_packets(g, 100, 7);
-  SimConfig cfg;
-  cfg.offchip_cycles = 3;
-  const SimResult a = simulate_mcmp(g, [](std::int32_t) { return true; }, pkts, cfg);
-  const SimResult b = simulate_mcmp(g, [](std::int32_t) { return true; }, pkts, cfg);
+  const OffchipTable all = OffchipTable::uniform(g, true);
+  EventSimConfig cfg;
+  cfg.offchip_cycles_per_flit = 3;
+  const EventSimResult a = simulate_events(g, all, pkts, cfg);
+  const EventSimResult b = simulate_events(g, all, pkts, cfg);
   EXPECT_EQ(a.completion_cycles, b.completion_cycles);
   EXPECT_EQ(a.total_hops, b.total_hops);
   EXPECT_NEAR(a.avg_latency, b.avg_latency, 1e-12);
@@ -126,8 +98,8 @@ TEST(SimulatorDeterminism, RepeatRunsAgree) {
 TEST(SimulatorConservation, EveryPacketArrivesOnce) {
   const Graph g = make_hypercube(5);
   const auto pkts = random_packets(g, 200, 23);
-  SimConfig cfg;
-  const SimResult r = simulate_mcmp(g, [](std::int32_t) { return true; }, pkts, cfg);
+  const EventSimResult r = simulate_events(g, OffchipTable::uniform(g, true),
+                                           pkts, EventSimConfig{});
   EXPECT_EQ(r.packets, 200u);
   std::uint64_t expected_hops = 0;
   for (const SimPacket& p : pkts) expected_hops += p.path.size() - 1;

@@ -2,7 +2,7 @@
 // and workload generation.
 #include <gtest/gtest.h>
 
-#include "sim/mcmp.hpp"
+#include "sim/event_core.hpp"
 #include "sim/workloads.hpp"
 #include "topology/baselines.hpp"
 #include "topology/metrics.hpp"
@@ -10,18 +10,16 @@
 namespace scg {
 namespace {
 
-const auto kAllOffchip = [](std::int32_t) { return true; };
-const auto kAllOnchip = [](std::int32_t) { return false; };
-
 TEST(Simulator, SinglePacketLatencyIsHopsTimesOccupancy) {
   const Graph g = make_path(5);
-  SimConfig cfg;
-  cfg.offchip_cycles = 3;
+  EventSimConfig cfg;
+  cfg.offchip_cycles_per_flit = 3;
   std::vector<SimPacket> pkts(1);
   pkts[0].src = 0;
   pkts[0].dst = 4;
   pkts[0].path = {0, 1, 2, 3, 4};
-  const SimResult r = simulate_mcmp(g, kAllOffchip, pkts, cfg);
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
   EXPECT_EQ(r.completion_cycles, 4u * 3u);
   EXPECT_EQ(r.total_hops, 4u);
   EXPECT_EQ(r.offchip_hops, 4u);
@@ -30,14 +28,15 @@ TEST(Simulator, SinglePacketLatencyIsHopsTimesOccupancy) {
 
 TEST(Simulator, OnchipHopsAreCheap) {
   const Graph g = make_path(5);
-  SimConfig cfg;
-  cfg.onchip_cycles = 1;
-  cfg.offchip_cycles = 10;
+  EventSimConfig cfg;
+  cfg.onchip_cycles_per_flit = 1;
+  cfg.offchip_cycles_per_flit = 10;
   std::vector<SimPacket> pkts(1);
   pkts[0].src = 0;
   pkts[0].dst = 4;
   pkts[0].path = {0, 1, 2, 3, 4};
-  const SimResult r = simulate_mcmp(g, kAllOnchip, pkts, cfg);
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, false), pkts, cfg);
   EXPECT_EQ(r.completion_cycles, 4u);
   EXPECT_EQ(r.offchip_hops, 0u);
 }
@@ -45,15 +44,16 @@ TEST(Simulator, OnchipHopsAreCheap) {
 TEST(Simulator, ContentionSerialisesALink) {
   // Two packets over the same single link: the second waits.
   const Graph g = make_path(2);
-  SimConfig cfg;
-  cfg.offchip_cycles = 5;
+  EventSimConfig cfg;
+  cfg.offchip_cycles_per_flit = 5;
   std::vector<SimPacket> pkts(2);
   for (auto& p : pkts) {
     p.src = 0;
     p.dst = 1;
     p.path = {0, 1};
   }
-  const SimResult r = simulate_mcmp(g, kAllOffchip, pkts, cfg);
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
   EXPECT_EQ(r.completion_cycles, 10u);       // 5 then 10
   EXPECT_NEAR(r.avg_latency, 7.5, 1e-12);    // (5 + 10) / 2
   EXPECT_NEAR(r.max_link_busy, 10.0, 1e-12);
@@ -62,8 +62,8 @@ TEST(Simulator, ContentionSerialisesALink) {
 TEST(Simulator, OppositeDirectionsDoNotContend) {
   // The two directions of an undirected link are separate arcs.
   const Graph g = make_path(2);
-  SimConfig cfg;
-  cfg.offchip_cycles = 5;
+  EventSimConfig cfg;
+  cfg.offchip_cycles_per_flit = 5;
   std::vector<SimPacket> pkts(2);
   pkts[0].src = 0;
   pkts[0].dst = 1;
@@ -71,33 +71,36 @@ TEST(Simulator, OppositeDirectionsDoNotContend) {
   pkts[1].src = 1;
   pkts[1].dst = 0;
   pkts[1].path = {1, 0};
-  const SimResult r = simulate_mcmp(g, kAllOffchip, pkts, cfg);
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
   EXPECT_EQ(r.completion_cycles, 5u);
 }
 
 TEST(Simulator, InjectTimeDelaysAPacket) {
   const Graph g = make_path(2);
-  SimConfig cfg;
+  EventSimConfig cfg;
   std::vector<SimPacket> pkts(1);
   pkts[0].src = 0;
   pkts[0].dst = 1;
   pkts[0].path = {0, 1};
   pkts[0].inject_time = 100;
-  const SimResult r = simulate_mcmp(g, kAllOffchip, pkts, cfg);
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, true), pkts, cfg);
   EXPECT_EQ(r.completion_cycles, 101u);
   EXPECT_NEAR(r.avg_latency, 1.0, 1e-12);  // latency counts from injection
 }
 
 TEST(Simulator, RejectsBrokenPaths) {
   const Graph g = make_path(3);
-  SimConfig cfg;
+  const OffchipTable offchip = OffchipTable::uniform(g, true);
+  EventSimConfig cfg;
   std::vector<SimPacket> pkts(1);
   pkts[0].src = 0;
   pkts[0].dst = 2;
   pkts[0].path = {0, 2};  // 0-2 is not a link
-  EXPECT_THROW(simulate_mcmp(g, kAllOffchip, pkts, cfg), std::invalid_argument);
+  EXPECT_THROW(simulate_events(g, offchip, pkts, cfg), std::invalid_argument);
   pkts[0].path = {1, 2};  // does not start at src
-  EXPECT_THROW(simulate_mcmp(g, kAllOffchip, pkts, cfg), std::invalid_argument);
+  EXPECT_THROW(simulate_events(g, offchip, pkts, cfg), std::invalid_argument);
 }
 
 TEST(GraphRoutes, ShortestPathsOnRing) {
@@ -159,13 +162,9 @@ TEST(Workloads, TotalExchangeOffchipHopsMatchInterclusterDistances) {
   // intercluster-optimal.  Our game routes are not always, so >= holds.
   const NetworkSpec net = make_macro_star(2, 2);
   const Graph g = materialize(net);
-  SimConfig cfg;
-  const SimResult r = simulate_mcmp(
-      g,
-      [&](std::int32_t tag) {
-        return !is_nucleus(net.generators[static_cast<std::size_t>(tag)].kind);
-      },
-      total_exchange_packets(net), cfg);
+  const EventSimResult r =
+      simulate_events(g, mcmp_offchip_table(net, g),
+                      total_exchange_packets(net), EventSimConfig{});
   const DistanceStats ic = intercluster_distance_stats(net);
   const double lower = ic.average * static_cast<double>(net.num_nodes()) *
                        static_cast<double>(net.num_nodes() - 1);
@@ -174,7 +173,9 @@ TEST(Workloads, TotalExchangeOffchipHopsMatchInterclusterDistances) {
 
 TEST(Simulator, EmptyPacketListIsFine) {
   const Graph g = make_ring(4);
-  const SimResult r = simulate_mcmp(g, kAllOffchip, {}, SimConfig{});
+  const EventSimResult r =
+      simulate_events(g, OffchipTable::uniform(g, true),
+                      std::vector<SimPacket>{}, EventSimConfig{});
   EXPECT_EQ(r.completion_cycles, 0u);
   EXPECT_EQ(r.packets, 0u);
 }
