@@ -1,10 +1,10 @@
 // Permutation microkernel harness: the scalar Permutation ops vs the
-// dispatched SIMD kernels (compose / generator-apply / inverse / unrank /
-// rank) at the paper's symbol counts, with a byte-identity check on every
-// op.  Emits bench/baseline_kernels.json for scripts/compare_bench.py
-// regression gating: `identical` is an exact invariant, the *_rps /
-// kernel_speedup fields are tolerance-gated rates.  Exits non-zero if any
-// kernel output differs from the scalar reference.
+// dispatched kernels of RouteEngine::route_batch's keying path (relabel /
+// inverse / unrank / rank) at the paper's symbol counts, with a
+// byte-identity check on every op.  Emits bench/baseline_kernels.json for
+// scripts/compare_bench.py regression gating: `identical` is an exact
+// invariant, the *_rps / kernel_speedup fields are tolerance-gated rates.
+// Exits non-zero if any kernel output differs from the scalar reference.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -84,8 +84,6 @@ std::vector<OpRow> bench_k(int k, std::uint64_t& sink) {
   std::mt19937_64 rng(0x5eedULL + static_cast<std::uint64_t>(k));
   const std::vector<Permutation> as = random_perms(k, kBatch, rng);
   const std::vector<Permutation> bs = random_perms(k, kBatch, rng);
-  const Permutation fixed = random_perms(k, 1, rng)[0];
-  const scg::PermLane fixed_lane = scg::make_perm_lane(fixed);
   std::uniform_int_distribution<std::uint64_t> pick(0, scg::factorial(k) - 1);
   std::vector<std::uint64_t> ranks(kBatch);
   for (std::uint64_t& r : ranks) r = pick(rng);
@@ -98,33 +96,20 @@ std::vector<OpRow> bench_k(int k, std::uint64_t& sink) {
   std::vector<OpRow> rows;
   const std::size_t reps = 16;
 
-  // Pairwise compose: out[i] = a[i] ∘ b[i].
+  // Pairwise relabel: out[i][p] = b[i][a[i][p]], the shuffle that forms
+  // route_batch's relative permutations W = V^{-1}∘U.
   {
     const double scalar = time_op(reps, [&] {
       for (std::size_t i = 0; i < kBatch; ++i) {
-        ref[i] = as[i].compose_positions(bs[i]);
+        ref[i] = as[i].relabel_symbols(bs[i]);
       }
       sink += ref[0].rank() & 1;
     });
     const double kernel = time_op(reps, [&] {
-      scg::perm_kernels::compose(a, b, out);
+      scg::perm_kernels::relabel(a, b, out);
       sink += out.lane(0)[0];
     });
-    rows.push_back({"compose", scalar, kernel, lanes_equal(out, ref)});
-  }
-  // Generator application: one fixed position table against the block.
-  {
-    const double scalar = time_op(reps, [&] {
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        ref[i] = as[i].compose_positions(fixed);
-      }
-      sink += ref[0].rank() & 1;
-    });
-    const double kernel = time_op(reps, [&] {
-      scg::perm_kernels::apply_table(a, fixed_lane, out);
-      sink += out.lane(0)[0];
-    });
-    rows.push_back({"apply", scalar, kernel, lanes_equal(out, ref)});
+    rows.push_back({"relabel", scalar, kernel, lanes_equal(out, ref)});
   }
   // Batch inverse.
   {
@@ -138,7 +123,7 @@ std::vector<OpRow> bench_k(int k, std::uint64_t& sink) {
     });
     rows.push_back({"inverse", scalar, kernel, lanes_equal(out, ref)});
   }
-  // Lockstep Myrvold–Ruskey unrank / rank.
+  // Myrvold–Ruskey unrank / rank.
   {
     const double scalar = time_op(reps, [&] {
       for (std::size_t i = 0; i < kBatch; ++i) {

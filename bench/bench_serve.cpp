@@ -67,8 +67,7 @@ int main() {
     cfg.max_batch = 128;
     cfg.linger_us = 0;
     // Cache off: every request pays a real solve, so the curve measures
-    // worker scaling rather than the submit path.  Per-batch coalescing
-    // still deduplicates translation-equivalent batchmates.
+    // worker scaling rather than the submit path.
     cfg.engine.cache_capacity = 0;
     scg::RouteService svc(net, cfg);
 
@@ -92,7 +91,6 @@ int main() {
              kv("p99_us", static_cast<double>(rep.latency.p99) / 1e3) + ", " +
              kv("p999_us", static_cast<double>(rep.latency.p999) / 1e3) +
              ", " + kv("occupancy_mean", snap.occupancy_mean) + ", " +
-             kv("coalesced", snap.coalesced) + ", " +
              kv("cache_hit_rate", snap.cache_hit_rate()));
     std::printf("thread_scaling workers=%d: %.0f req/s  p99=%.0f us  "
                 "occupancy=%.1f  conserved=%llu words_ok=%llu\n",
@@ -106,8 +104,8 @@ int main() {
 
   // -------------------------------------------------------------------
   // Linger trade-off: open-loop Poisson arrivals at a fixed rate; a longer
-  // linger builds bigger batches (higher occupancy, better coalescing) at
-  // the price of added queueing latency.
+  // linger builds bigger batches (higher occupancy) at the price of added
+  // queueing latency.
   // -------------------------------------------------------------------
   json.begin_array("linger_tradeoff");
   const std::vector<scg::TrafficPair> linger_pairs =
@@ -137,7 +135,6 @@ int main() {
              kv("p50_us", static_cast<double>(rep.latency.p50) / 1e3) + ", " +
              kv("p99_us", static_cast<double>(rep.latency.p99) / 1e3) + ", " +
              kv("occupancy_mean", snap.occupancy_mean) + ", " +
-             kv("coalesced", snap.coalesced) + ", " +
              kv("cache_hit_rate", snap.cache_hit_rate()));
     std::printf("linger_tradeoff linger=%llu us: p50=%.0f us  p99=%.0f us  "
                 "occupancy=%.1f\n",

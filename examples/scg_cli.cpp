@@ -41,11 +41,13 @@
 //             strings like 5342671 (k <= 9).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include <numeric>
@@ -71,7 +73,11 @@
 namespace {
 
 scg::NetworkSpec make(const std::string& family, int l, int n) {
-  const int k = l * n + 1;
+  // The single-k families take k = l*n+1.  Form it in 64 bits so no input
+  // overflows it, and cap it at kMaxSymbols + 1, which every builder
+  // rejects, so an oversize k never builds a huge generator list.
+  const int k = static_cast<int>(std::min<std::int64_t>(
+      std::int64_t{l} * n + 1, scg::kMaxSymbols + 1));
   if (family == "MS") return scg::make_macro_star(l, n);
   if (family == "RS") return scg::make_rotation_star(l, n);
   if (family == "cRS") return scg::make_complete_rotation_star(l, n);
@@ -87,9 +93,8 @@ scg::NetworkSpec make(const std::string& family, int l, int n) {
   if (family == "pancake") return scg::make_pancake_graph(k);
   if (family == "bubble") return scg::make_bubble_sort_graph(k);
   if (family == "transposition") return scg::make_transposition_network(k);
-  std::fprintf(stderr, "unknown family '%s' (try: scg_cli families)\n",
-               family.c_str());
-  std::exit(2);
+  throw std::invalid_argument("unknown family '" + family +
+                              "' (try: scg_cli families)");
 }
 
 int cmd_info(const scg::NetworkSpec& net) {
@@ -393,10 +398,10 @@ int cmd_kernels() {
                   ok ? "yes" : "NO");
     };
     report(
-        "compose", [&] { scg::perm_kernels::compose(a, b, out); },
+        "relabel", [&] { scg::perm_kernels::relabel(a, b, out); },
         [&] {
           for (std::size_t i = 0; i < kBatch; ++i) {
-            if (out.get(i) != as[i].compose_positions(bs[i])) return false;
+            if (out.get(i) != as[i].relabel_symbols(bs[i])) return false;
           }
           return true;
         });
@@ -512,8 +517,7 @@ int run(int argc, char** argv) {
         argc > 8 ? std::strtoull(argv[8], nullptr, 10) : 7;
     return cmd_serve_bench(net, workers, requests, qps, seed);
   }
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 2;
+  throw std::invalid_argument("unknown command '" + cmd + "'");
 }
 
 }  // namespace

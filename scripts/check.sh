@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus sanitizer passes:
-#   1. default build + full ctest (the tier-1 gate);
+#   1. default build + full ctest (the tier-1 gate), the bench gates, and
+#      a smoke run of the repo benchmark (benchmark/run.sh);
 #   2. ASan+UBSan build + the fast-labelled tests (large sweeps excluded —
 #      run `ctest --preset asan-fast` with no label filter to widen);
 #   3. standalone UBSan build of the kernel-heavy suites (permutation,
@@ -72,6 +73,14 @@ echo "== serving bench: SLO telemetry + shedding gate =="
 # conservation / words_ok / shed_nonzero must hold exactly, serve_rps only
 # loosely (machine speed).
 scripts/bench_gate.sh build/bench/bench_serve bench/baseline_serve.json
+
+echo "== repo benchmark: build scg_bench from source + smoke run =="
+# The tier-1 build never compiles benchmark/scg_bench.cpp, so this is the
+# step that catches a src/ change that breaks it.  --smoke runs every
+# workload for 1 s with the full correctness checks; compare_test.py
+# unit-tests the judge that compares benchmark runs.
+bash benchmark/run.sh --smoke
+python3 benchmark/compare_test.py
 
 echo "== sanitizers: asan+ubsan build, fast tests =="
 cmake --preset asan

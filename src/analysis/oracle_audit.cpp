@@ -46,7 +46,7 @@ OptimalityAudit audit_route_optimality(const NetworkSpec& net,
       [&](std::uint64_t lo, std::uint64_t hi) {
         Partial p;
         // The sweep visits every rank in order, so sources unrank through
-        // the lockstep kernel a block at a time; the counting kernel then
+        // the batch unrank kernel a block at a time; the counting kernel then
         // consumes each state exactly as the scalar loop did.
         constexpr std::size_t kBlock = 256;
         PermBlock block;

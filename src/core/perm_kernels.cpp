@@ -20,36 +20,34 @@ constexpr std::uint8_t kIota[kPermLaneBytes] = {
     16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31};
 
 // ---------------------------------------------------------------------------
-// The one shuffle kernel, per tier.  All four block shuffles (apply/compose/
-// relabel, fixed or pairwise) are the same inner operation with different
-// operand striding: out_lane[p] = tab_lane[idx_lane[p]], where either
-// operand advances by `stride` bytes per lane or stays fixed (stride 0).
+// The one shuffle kernel, per tier: out_lane[p] = tab_lane[idx_lane[p]] for n
+// lanes, every operand advancing by `stride` bytes per lane.  Callers:
+// the pairwise block relabel and the single-lane generator application.
 // ---------------------------------------------------------------------------
 
-void shuffle_scalar(const std::uint8_t* tab, std::size_t tab_stride,
-                    const std::uint8_t* idx, std::size_t idx_stride,
+void shuffle_scalar(const std::uint8_t* tab, const std::uint8_t* idx,
                     std::uint8_t* out, std::size_t n, int stride) {
+  const std::size_t w = static_cast<std::size_t>(stride);
   std::uint8_t tmp[kPermLaneBytes];
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t* tp = tab + i * tab_stride;
-    const std::uint8_t* xp = idx + i * idx_stride;
+    const std::uint8_t* tp = tab + i * w;
+    const std::uint8_t* xp = idx + i * w;
     for (int p = 0; p < stride; ++p) tmp[p] = tp[xp[p]];
-    std::memcpy(out + i * static_cast<std::size_t>(stride), tmp,
-                static_cast<std::size_t>(stride));
+    std::memcpy(out + i * w, tmp, w);
   }
 }
 
 #if SCG_KERNELS_X86
 
 __attribute__((target("ssse3,sse4.1"))) void shuffle_sse(
-    const std::uint8_t* tab, std::size_t tab_stride, const std::uint8_t* idx,
-    std::size_t idx_stride, std::uint8_t* out, std::size_t n, int stride) {
+    const std::uint8_t* tab, const std::uint8_t* idx, std::uint8_t* out,
+    std::size_t n, int stride) {
   if (stride == 16) {
     for (std::size_t i = 0; i < n; ++i) {
-      const __m128i t = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(tab + i * tab_stride));
-      const __m128i x = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(idx + i * idx_stride));
+      const __m128i t =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab + i * 16));
+      const __m128i x =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i * 16));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i * 16),
                        _mm_shuffle_epi8(t, x));
     }
@@ -59,11 +57,11 @@ __attribute__((target("ssse3,sse4.1"))) void shuffle_sse(
   // both halves of the table and select by idx >= 16.
   const __m128i fifteen = _mm_set1_epi8(15);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t* tp = tab + i * tab_stride;
+    const std::uint8_t* tp = tab + i * 32;
     const __m128i tlo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tp));
     const __m128i thi =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(tp + 16));
-    const std::uint8_t* xp = idx + i * idx_stride;
+    const std::uint8_t* xp = idx + i * 32;
     std::uint8_t* op = out + i * 32;
     for (int h = 0; h < 32; h += 16) {
       const __m128i x =
@@ -78,33 +76,25 @@ __attribute__((target("ssse3,sse4.1"))) void shuffle_sse(
 }
 
 __attribute__((target("avx2"))) void shuffle_avx2(
-    const std::uint8_t* tab, std::size_t tab_stride, const std::uint8_t* idx,
-    std::size_t idx_stride, std::uint8_t* out, std::size_t n, int stride) {
+    const std::uint8_t* tab, const std::uint8_t* idx, std::uint8_t* out,
+    std::size_t n, int stride) {
   if (stride == 16) {
     // vpshufb shuffles its two 128-bit halves independently — exactly two
     // 16-byte permutation lanes per 256-bit op.
     std::size_t i = 0;
     for (; i + 2 <= n; i += 2) {
       const __m256i t =
-          tab_stride != 0
-              ? _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(tab + i * 16))
-              : _mm256_broadcastsi128_si256(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab)));
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tab + i * 16));
       const __m256i x =
-          idx_stride != 0
-              ? _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(idx + i * 16))
-              : _mm256_broadcastsi128_si256(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)));
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i * 16));
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * 16),
                           _mm256_shuffle_epi8(t, x));
     }
     if (i < n) {  // odd tail: one 128-bit lane
-      const __m128i t = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(tab + i * tab_stride));
-      const __m128i x = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(idx + i * idx_stride));
+      const __m128i t =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab + i * 16));
+      const __m128i x =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i * 16));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i * 16),
                        _mm_shuffle_epi8(t, x));
     }
@@ -113,24 +103,14 @@ __attribute__((target("avx2"))) void shuffle_avx2(
   // 32-byte lanes: duplicate each table half across both 128-bit halves,
   // shuffle, and select by idx >= 16 (the usual cross-lane-lookup blend).
   const __m256i fifteen = _mm256_set1_epi8(15);
-  __m256i tlo = _mm256_setzero_si256();
-  __m256i thi = _mm256_setzero_si256();
-  if (tab_stride == 0) {
-    tlo = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab)));
-    thi = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab + 16)));
-  }
   for (std::size_t i = 0; i < n; ++i) {
-    if (tab_stride != 0) {
-      const std::uint8_t* tp = tab + i * tab_stride;
-      tlo = _mm256_broadcastsi128_si256(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(tp)));
-      thi = _mm256_broadcastsi128_si256(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(tp + 16)));
-    }
-    const __m256i x = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(idx + i * idx_stride));
+    const std::uint8_t* tp = tab + i * 32;
+    const __m256i tlo = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tp)));
+    const __m256i thi = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tp + 16)));
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i * 32));
     const __m256i lo = _mm256_shuffle_epi8(tlo, x);
     const __m256i hi = _mm256_shuffle_epi8(thi, x);
     const __m256i take_hi = _mm256_cmpgt_epi8(x, fifteen);
@@ -160,100 +140,46 @@ std::atomic<KernelTier>& tier_ref() {
   return tier;
 }
 
-void shuffle_dispatch(const std::uint8_t* tab, std::size_t tab_stride,
-                      const std::uint8_t* idx, std::size_t idx_stride,
+void shuffle_dispatch(const std::uint8_t* tab, const std::uint8_t* idx,
                       std::uint8_t* out, std::size_t n, int stride) {
   switch (tier_ref().load(std::memory_order_relaxed)) {
 #if SCG_KERNELS_X86
     case KernelTier::kAvx2:
-      shuffle_avx2(tab, tab_stride, idx, idx_stride, out, n, stride);
+      shuffle_avx2(tab, idx, out, n, stride);
       return;
     case KernelTier::kSse:
-      shuffle_sse(tab, tab_stride, idx, idx_stride, out, n, stride);
+      shuffle_sse(tab, idx, out, n, stride);
       return;
 #endif
     default:
-      shuffle_scalar(tab, tab_stride, idx, idx_stride, out, n, stride);
-  }
-}
-
-void check_same_shape(const PermBlock& a, const PermBlock& b,
-                      const char* what) {
-  if (a.k() != b.k() || a.size() != b.size()) {
-    throw std::invalid_argument(std::string(what) +
-                                ": operand blocks differ in k or size");
+      shuffle_scalar(tab, idx, out, n, stride);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Lockstep Myrvold–Ruskey.  One state's divmod/swap chain is serial, but
-// chains of different states are independent; a fixed-width group keeps W
-// reciprocal-divmod chains in flight per cycle (same arithmetic, same
-// results, byte for byte, as Permutation::unrank / Permutation::rank).
+// Myrvold–Ruskey unrank of one lane as one serial divmod/swap chain: the
+// path unrank takes when the fused one below does not apply (k > 16, or the
+// scalar tier).  The caller writes the identity padding first.
 // ---------------------------------------------------------------------------
 
-template <int W>
-void unrank_group(int k, const std::uint64_t* ranks, std::uint8_t* base,
-                  std::size_t stride) {
-  std::uint64_t r[W];
-  std::uint8_t* l[W];
-  for (int j = 0; j < W; ++j) {
-    r[j] = ranks[j];
-    l[j] = base + static_cast<std::size_t>(j) * stride;
-    std::memcpy(l[j], kIota, stride);
-  }
+void unrank_chain(int k, std::uint64_t rank, std::uint8_t* lane) {
   for (int n = k; n > 1; --n) {
-    for (int j = 0; j < W; ++j) {
-      std::uint64_t rem;
-      r[j] = detail::divmod(r[j], n, rem);
-      const std::uint8_t tmp = l[j][n - 1];
-      l[j][n - 1] = l[j][rem];
-      l[j][rem] = tmp;
-    }
+    std::uint64_t rem;
+    rank = detail::divmod(rank, n, rem);
+    const std::uint8_t tmp = lane[n - 1];
+    lane[n - 1] = lane[rem];
+    lane[rem] = tmp;
   }
 }
-
-template <int W>
-void rank_group(int k, const std::uint8_t* base, std::size_t stride,
-                std::uint64_t* out) {
-  std::uint8_t pi[W][kMaxSymbols];
-  std::uint8_t inv[W][kMaxSymbols];
-  std::uint64_t r[W] = {};
-  for (int j = 0; j < W; ++j) {
-    const std::uint8_t* lane = base + static_cast<std::size_t>(j) * stride;
-    for (int i = 0; i < k; ++i) {
-      pi[j][i] = lane[i];
-      inv[j][lane[i]] = static_cast<std::uint8_t>(i);
-    }
-  }
-  // The digit multiplier sequence is shared by every lane; positions and
-  // symbols >= n-1 are never read again, so the textbook swaps halve to one
-  // store per array (the accumulated digits are unchanged).
-  std::uint64_t mult = 1;
-  for (int n = k; n > 1; --n) {
-    for (int j = 0; j < W; ++j) {
-      const std::uint8_t s = pi[j][n - 1];
-      const std::uint8_t at = inv[j][n - 1];
-      pi[j][at] = s;
-      inv[j][s] = at;
-      r[j] += mult * s;
-    }
-    mult *= static_cast<std::uint64_t>(n);
-  }
-  for (int j = 0; j < W; ++j) out[j] = r[j];
-}
-
-constexpr int kLockstepWidth = 8;
 
 #if SCG_KERNELS_X86
 
 // ---------------------------------------------------------------------------
 // Fused-radix unrank (SSSE3 and above, k <= 16).
 //
-// The lockstep chain above is still latency-bound: each state's divmod
-// sequence is serial, the scalar reference pipelines across loop iterations
-// just as well, and the fixup branch in detail::divmod mispredicts on the
-// early (large-remainder) steps.  The fused path attacks the chain itself:
+// The chain above is latency-bound: each state's divmod sequence is serial,
+// and the fixup branch in detail::divmod mispredicts on the early
+// (large-remainder) steps.  The fused path attacks the chain itself:
 //
 //   * The Myrvold–Ruskey remainders are the digits of the rank in the mixed
 //     radix (k, k-1, ..., 2), so dividing by D = n*(n-1)*(n-2) extracts
@@ -267,7 +193,7 @@ constexpr int kLockstepWidth = 8;
 //
 // Both phases are exact, so the output is byte-identical to the scalar
 // chain.  The mask tables for every group top 2..16 total ~230 KiB, built
-// once on first use.  k > 16 (32-byte lanes) stays on the lockstep path.
+// once on first use.  k > 16 (32-byte lanes) stays on the chain above.
 // ---------------------------------------------------------------------------
 
 constexpr int kFusedMaxK = 16;
@@ -507,30 +433,14 @@ Permutation PermBlock::get(std::size_t i) const {
 
 namespace perm_kernels {
 
-void apply_table(const PermBlock& in, const PermLane& tab, PermBlock& out) {
-  out.resize(in.k(), in.size());
-  shuffle_dispatch(in.data(), in.stride(), tab.b, 0, out.data(), in.size(),
-                   static_cast<int>(in.stride()));
-}
-
-void compose(const PermBlock& a, const PermBlock& b, PermBlock& out) {
-  check_same_shape(a, b, "perm_kernels::compose");
-  out.resize(a.k(), a.size());
-  shuffle_dispatch(a.data(), a.stride(), b.data(), b.stride(), out.data(),
-                   a.size(), static_cast<int>(a.stride()));
-}
-
-void relabel_by(const PermBlock& a, const PermLane& relabel, PermBlock& out) {
-  out.resize(a.k(), a.size());
-  shuffle_dispatch(relabel.b, 0, a.data(), a.stride(), out.data(), a.size(),
-                   static_cast<int>(a.stride()));
-}
-
 void relabel(const PermBlock& a, const PermBlock& relabel, PermBlock& out) {
-  check_same_shape(a, relabel, "perm_kernels::relabel");
+  if (a.k() != relabel.k() || a.size() != relabel.size()) {
+    throw std::invalid_argument(
+        "perm_kernels::relabel: operand blocks differ in k or size");
+  }
   out.resize(a.k(), a.size());
-  shuffle_dispatch(relabel.data(), relabel.stride(), a.data(), a.stride(),
-                   out.data(), a.size(), static_cast<int>(a.stride()));
+  shuffle_dispatch(relabel.data(), a.data(), out.data(), a.size(),
+                   static_cast<int>(a.stride()));
 }
 
 void inverse(const PermBlock& a, PermBlock& out) {
@@ -567,10 +477,10 @@ void inverse(const PermBlock& a, PermBlock& out) {
 
 void unrank(int k, std::span<const std::uint64_t> ranks, PermBlock& out) {
   out.resize(k, ranks.size());
-  std::size_t i = 0;
 #if SCG_KERNELS_X86
   if (use_fused(k)) {
     const FusedSchedule& s = fused_tables().sched[k];
+    std::size_t i = 0;
     for (; i + 4 <= ranks.size(); i += 4) {
       unrank_fused4(s, ranks.data() + i, out.lane(i), out.stride());
     }
@@ -580,12 +490,9 @@ void unrank(int k, std::span<const std::uint64_t> ranks, PermBlock& out) {
     return;
   }
 #endif
-  for (; i + kLockstepWidth <= ranks.size(); i += kLockstepWidth) {
-    unrank_group<kLockstepWidth>(k, ranks.data() + i, out.lane(i),
-                                 out.stride());
-  }
-  for (; i < ranks.size(); ++i) {
-    unrank_group<1>(k, ranks.data() + i, out.lane(i), out.stride());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    std::memcpy(out.lane(i), kIota, out.stride());
+    unrank_chain(k, ranks[i], out.lane(i));
   }
 }
 
@@ -593,13 +500,8 @@ void rank(const PermBlock& a, std::span<std::uint64_t> out) {
   if (out.size() != a.size()) {
     throw std::invalid_argument("perm_kernels::rank: output size mismatch");
   }
-  const int k = a.k();
-  std::size_t i = 0;
-  for (; i + kLockstepWidth <= a.size(); i += kLockstepWidth) {
-    rank_group<kLockstepWidth>(k, a.lane(i), a.stride(), out.data() + i);
-  }
-  for (; i < a.size(); ++i) {
-    rank_group<1>(k, a.lane(i), a.stride(), out.data() + i);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    out[i] = rank_lane(a.lane(i), a.k());
   }
 }
 
@@ -611,23 +513,34 @@ void unrank_lane(int k, std::uint64_t rank, std::uint8_t* lane) {
     return;
   }
 #endif
-  for (int n = k; n > 1; --n) {
-    std::uint64_t rem;
-    rank = detail::divmod(rank, n, rem);
-    const std::uint8_t tmp = lane[n - 1];
-    lane[n - 1] = lane[rem];
-    lane[rem] = tmp;
-  }
+  unrank_chain(k, rank, lane);
 }
 
 std::uint64_t rank_lane(const std::uint8_t* lane, int k) {
-  std::uint64_t r;
-  rank_group<1>(k, lane, 0, &r);
+  std::uint8_t pi[kMaxSymbols];
+  std::uint8_t inv[kMaxSymbols];
+  for (int i = 0; i < k; ++i) {
+    pi[i] = lane[i];
+    inv[lane[i]] = static_cast<std::uint8_t>(i);
+  }
+  // Positions and symbols >= n-1 are never read again, so the textbook
+  // swaps halve to one store per array (the accumulated digits are
+  // unchanged).
+  std::uint64_t r = 0;
+  std::uint64_t mult = 1;
+  for (int n = k; n > 1; --n) {
+    const std::uint8_t s = pi[n - 1];
+    const std::uint8_t at = inv[n - 1];
+    pi[at] = s;
+    inv[s] = at;
+    r += mult * s;
+    mult *= static_cast<std::uint64_t>(n);
+  }
   return r;
 }
 
 void apply_table_lane(std::uint8_t* lane, const PermLane& tab, int stride) {
-  shuffle_dispatch(lane, 0, tab.b, 0, lane, 1, stride);
+  shuffle_dispatch(lane, tab.b, lane, 1, stride);
 }
 
 }  // namespace perm_kernels

@@ -2,13 +2,11 @@
 //
 // The paper's networks live on k = n·l+1 <= 20 symbols, so a whole
 // permutation fits in one 16-byte (k <= 16) or 32-byte (k <= 20) register
-// and composition / relabeling / generator application are each a single
-// byte-shuffle (`pshufb` and the two-shuffle+blend 32-byte emulation).  This
-// header exposes those shuffles, plus lockstep Myrvold–Ruskey rank/unrank
-// (the divmod chain of one state is serial, but chains of different states
-// are independent, so an 8-wide structure-of-arrays pass keeps several
-// reciprocal-divmod chains in flight per cycle), behind a *runtime-selected*
-// tier:
+// and relabeling / generator application are each a single byte-shuffle
+// (`pshufb` and the two-shuffle+blend 32-byte emulation).  This header
+// exposes the batch keying path RouteEngine::route_batch runs (unrank,
+// inverse, relabel, rank) and the single-lane helpers of its per-hop path,
+// behind a *runtime-selected* tier:
 //
 //   kScalar  portable C++ loops — the reference everything is tested against
 //   kSse     SSSE3 `pshufb` (+ SSE4.1 `pblendvb` for k in 17..20)
@@ -21,6 +19,12 @@
 // to the scalar reference).  Non-x86 builds compile only the scalar tier and
 // are otherwise unaffected — the SIMD bodies live behind per-function target
 // attributes, so no global -mavx2 flag is needed or used.
+//
+// Myrvold–Ruskey rank, and unrank for k > 16, run one serial divmod chain
+// per lane on every tier: an 8-wide lockstep pass over the chains measured
+// 0.88–1.26x the scalar rank and 1.09x the scalar unrank at k = 20, so it
+// was not kept.  Unrank for k <= 16 on the SIMD tiers takes a fused-radix
+// path (three digits per divmod, one pshufb per digit group), 5–7x scalar.
 //
 // Lane convention: a permutation of {1..k} is stored 0-based (symbol-1) in
 // bytes [0, k) of a 16-byte (k <= 16) or 32-byte (k > 16) lane, with the
@@ -123,29 +127,15 @@ class PermBlock {
 namespace perm_kernels {
 
 // ---------------------------------------------------------------------------
-// Batch primitives.  `out` may alias an input block (kernels load a whole
-// lane before storing it); it is resized to match the inputs.
+// Batch primitives.  Each resizes `out` to match its inputs.
 // ---------------------------------------------------------------------------
-
-/// Generator application / fixed composition: out[i][p] = in[i][tab[p]] for
-/// every lane i — "apply one position permutation to the whole block".  With
-/// `tab` a generator's position table this is batch generator application;
-/// with `tab` = make_perm_lane(other) it is Permutation::compose_positions
-/// by a fixed right operand.
-void apply_table(const PermBlock& in, const PermLane& tab, PermBlock& out);
-
-/// Pairwise composition: out[i][p] = a[i][b[i][p]] — the block form of
-/// a[i].compose_positions(b[i]).
-void compose(const PermBlock& a, const PermBlock& b, PermBlock& out);
-
-/// Fixed relabeling: out[i][p] = relabel[a[i][p]] — the block form of
-/// a[i].relabel_symbols(r) with one shared r (e.g. one V^{-1} against many
-/// sources).
-void relabel_by(const PermBlock& a, const PermLane& relabel, PermBlock& out);
 
 /// Pairwise relabeling: out[i][p] = relabel[i][a[i][p]] — the block form of
 /// a[i].relabel_symbols(r[i]); with r = inverse(dsts) this yields the
 /// relative permutations W = V^{-1}∘U of a whole batch of route requests.
+/// `out` may alias either operand (the shuffle loads a whole lane before
+/// storing it).  Throws std::invalid_argument if the operands differ in k
+/// or size.
 void relabel(const PermBlock& a, const PermBlock& relabel, PermBlock& out);
 
 /// Batch group inverse: out[i][a[i][p]] = p.  A byte scatter (no shuffle
@@ -153,13 +143,15 @@ void relabel(const PermBlock& a, const PermBlock& relabel, PermBlock& out);
 /// not alias `a`.
 void inverse(const PermBlock& a, PermBlock& out);
 
-/// Lockstep Myrvold–Ruskey unrank: fills out with the permutations of
-/// {1..k} with the given ranks, 8 reciprocal-divmod chains in flight.
-/// Byte-identical to Permutation::unrank lane by lane.
+/// Myrvold–Ruskey unrank: fills out with the permutations of {1..k} with
+/// the given ranks (fused-radix for k <= 16 on the SIMD tiers, else one
+/// divmod chain per lane).  Byte-identical to Permutation::unrank lane by
+/// lane.
 void unrank(int k, std::span<const std::uint64_t> ranks, PermBlock& out);
 
-/// Lockstep Myrvold–Ruskey rank; out.size() must equal a.size().
-/// Byte-identical to Permutation::rank lane by lane.
+/// Myrvold–Ruskey rank of every lane, one rank_lane chain each.
+/// Byte-identical to Permutation::rank lane by lane.  Throws
+/// std::invalid_argument unless out.size() == a.size().
 void rank(const PermBlock& a, std::span<std::uint64_t> out);
 
 // ---------------------------------------------------------------------------

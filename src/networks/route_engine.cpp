@@ -534,9 +534,10 @@ void RouteEngine::route_batch(std::span<const std::uint64_t> src,
         ch.off.reserve(static_cast<std::size_t>(hi - lo + 1));
         ch.off.push_back(0);
         // Kernel front end: batch-unrank the whole chunk, invert the
-        // destinations and form W = V^{-1}∘U (plus cache keys) with the
-        // SIMD layer; the solvers then consume one relative permutation
-        // per pair, exactly as the scalar path would have built it.
+        // destinations and form W = V^{-1}∘U (plus cache keys, ranked only
+        // when the cache is on) with the perm_kernels layer; the solvers
+        // then consume one relative permutation per pair, exactly as the
+        // scalar path would have built it.
         const std::size_t n = hi - lo;
         perm_kernels::unrank(k, src.subspan(lo, n), ch.srcs);
         perm_kernels::unrank(k, dst.subspan(lo, n), ch.dsts);

@@ -134,7 +134,7 @@ class RouteBatch {
     std::vector<std::uint32_t> off;   ///< hi-lo+1 offsets into `words`
     /// Kernel scratch: the chunk's sources/destinations are batch-unranked
     /// and turned into relative permutations W = V^{-1}∘U (plus their cache
-    /// keys) by the SIMD layer before any solver runs.
+    /// keys) by the perm_kernels layer before any solver runs.
     PermBlock srcs, dsts, inv_dsts, rel;
     std::vector<std::uint64_t> keys;
   };
@@ -191,8 +191,9 @@ class RouteEngine {
                                             RouteBuffer& buf) const;
 
   /// route_rel_into with the cache key (rank of `w`) already in hand —
-  /// batch callers compute keys with the SIMD rank kernel, so the scalar
-  /// per-request rank is skipped.  `key` is ignored when the cache is off.
+  /// route_batch ranks a whole chunk's relative permutations with
+  /// perm_kernels::rank, so no Permutation::rank runs per request.  `key`
+  /// is ignored when the cache is off.
   std::span<const Generator> route_rel_keyed(const Permutation& w,
                                              std::uint64_t key,
                                              RouteBuffer& buf) const;
@@ -237,8 +238,8 @@ class RouteEngine {
 
   /// The shard that holds relative-permutation key `rel_rank` (0 with the
   /// cache off).  The serving layer pins each worker to a disjoint shard
-  /// group so translation-equivalent requests coalesce on an uncontended
-  /// shard.
+  /// group so translation-equivalent requests meet on one worker and an
+  /// uncontended shard.
   std::size_t cache_shard_of(std::uint64_t rel_rank) const;
 
  private:

@@ -68,6 +68,12 @@ std::vector<Generator> pm_rotations(int l, int n) {
 
 NetworkSpec finish(Family f, int l, int n, bool directed_family,
                    std::vector<Generator> gens, const std::string& param) {
+  // k = l*n+1 must fit kMaxSymbols.  Divide instead of multiplying, so no
+  // l or n can overflow the test.
+  if (l < 1 || n < 1 || n > (kMaxSymbols - 1) / l) {
+    throw std::invalid_argument(family_name(f) + param + ": k exceeds " +
+                                std::to_string(kMaxSymbols) + " symbols");
+  }
   NetworkSpec s;
   s.family = f;
   s.l = l;

@@ -204,8 +204,8 @@ int NetworkView::expand_neighbors_block(std::span<const std::uint64_t> ranks,
                                         std::uint64_t* out) const {
   switch (backend_) {
     case Backend::kImplicit: {
-      // The unranks of the whole block run through the lockstep kernel
-      // (several reciprocal-divmod chains in flight); each state then gets
+      // The unranks of the whole block run through the batch unrank kernel
+      // (fused-radix for k <= 16 on the SIMD tiers); each state then gets
       // the same shared-prefix residual expansion the scalar path runs, so
       // rows are entry-for-entry identical to expand_neighbors.
       thread_local PermBlock block;

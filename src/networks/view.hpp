@@ -113,7 +113,7 @@ class NetworkView {
   /// fills out[i * degree() + j] with neighbor j of ranks[i] — row i equal,
   /// entry for entry, to what expand_neighbors(ranks[i], ..) writes — and
   /// returns degree().  For kImplicit the whole block is unranked by the
-  /// lockstep SIMD kernel before the per-state shared-prefix expansion runs,
+  /// batch unrank kernel before the per-state shared-prefix expansion runs,
   /// which is where retrograde BFS sweeps spend their time.  Throws for
   /// kCsr views (irregular rows have no fixed stride).
   int expand_neighbors_block(std::span<const std::uint64_t> ranks,

@@ -123,8 +123,8 @@ DistanceOracle DistanceOracle::build(const NetworkSpec& net, ThreadPool* pool) {
         bitmap_words,
         [&](std::uint64_t lo, std::uint64_t hi) {
           // Frontier states are gathered into fixed blocks and expanded
-          // through the kernel-batched view API (one lockstep unrank pass
-          // per block); rows keep the per-state neighbor order, so claims
+          // through the kernel-batched view API (one batch unrank per
+          // block); rows keep the per-state neighbor order, so claims
           // and counts are exactly those of the per-state loop.
           constexpr std::size_t kBlock = 128;
           const std::size_t deg = static_cast<std::size_t>(rev.degree());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/check.hpp"
@@ -24,8 +23,7 @@ RouteService::RouteService(const NetworkSpec& net, RouteServiceConfig cfg)
     : cfg_(sanitize(cfg)),
       net_(net),
       engine_(net_, cfg_.engine),
-      admission_(cfg_.admission),
-      identity_rank_(Permutation::identity(net_.k()).rank()) {
+      admission_(cfg_.admission) {
   queues_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int w = 0; w < cfg_.workers; ++w) {
     queues_.push_back(std::make_unique<RequestQueue>(cfg_.queue_capacity));
@@ -44,7 +42,7 @@ std::size_t RouteService::worker_of(std::uint64_t rel) const {
     return engine_.cache_shard_of(rel) % queues_.size();
   }
   // Cache disabled: fall back to the same multiplicative hash the engine
-  // shards with, so equal keys still coalesce on one worker.
+  // shards with, so equal keys still land on one worker.
   return static_cast<std::size_t>((rel * 0x9e3779b97f4a7c15ULL) >> 32) %
          queues_.size();
 }
@@ -96,11 +94,11 @@ std::future<RouteReply> RouteService::submit_impl(std::uint64_t src,
     return fut;
   }
 
-  // The cache key: solving U -> V is solving W = V^{-1}∘U to the identity.
+  // Dispatch on the cache key, the rank of W = V^{-1}∘U, so every copy of
+  // a W reaches the worker that owns its cache shard.
   const Permutation u = Permutation::unrank(net_.k(), src);
   const Permutation v = Permutation::unrank(net_.k(), dst);
-  r.rel = u.relabel_symbols(v.inverse()).rank();
-  const std::size_t w = worker_of(r.rel);
+  const std::size_t w = worker_of(u.relabel_symbols(v.inverse()).rank());
   r.t.enqueue_ns = serve_now_ns();
 
   // Pre-count the admitted request so a burst of concurrent submitters is
@@ -135,12 +133,8 @@ void RouteService::worker_loop(std::size_t w) {
   RequestQueue& queue = *queues_[w];
   std::vector<ServeRequest> batch;
   batch.reserve(cfg_.max_batch);
-  // Coalescing scratch: unique relative keys of the batch (SoA input to
-  // route_batch) and each request's slot in that unique list.
-  std::vector<std::uint64_t> uniq_rel;
-  std::vector<std::uint64_t> uniq_dst;
-  std::vector<std::uint32_t> slot;
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_of;
+  std::vector<std::uint64_t> srcs;
+  std::vector<std::uint64_t> dsts;
   RouteBatch solved;
 
   const std::chrono::microseconds linger(cfg_.linger_us);
@@ -148,30 +142,24 @@ void RouteService::worker_loop(std::size_t w) {
     const std::uint64_t t_batch = serve_now_ns();
     queued_depth_.fetch_sub(batch.size(), std::memory_order_relaxed);
 
-    uniq_rel.clear();
-    slot_of.clear();
-    slot.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto [it, fresh] = slot_of.try_emplace(
-          batch[i].rel, static_cast<std::uint32_t>(uniq_rel.size()));
-      if (fresh) uniq_rel.push_back(batch[i].rel);
-      slot[i] = it->second;
+    srcs.clear();
+    dsts.clear();
+    for (const ServeRequest& r : batch) {
+      srcs.push_back(r.src);
+      dsts.push_back(r.dst);
     }
-    // Solving W -> identity yields exactly the U -> V word; one SoA batch
-    // call over the unique keys serves every coalesced duplicate.  With
-    // max_batch <= 256 this runs inline on this thread.
-    uniq_dst.assign(uniq_rel.size(), identity_rank_);
-    engine_.route_batch(uniq_rel, uniq_dst, solved);
+    // With max_batch <= 256 this runs inline on this thread, in order, so
+    // a repeated W is cached by its first copy before the next looks it up.
+    engine_.route_batch(srcs, dsts, solved);
     const std::uint64_t t_solved = serve_now_ns();
-    // Coalescing can only shrink a batch, and the dual trigger caps it.
-    SCG_CHECK_LE(uniq_rel.size(), batch.size());
+    // The dual trigger caps a batch.
     SCG_CHECK_LE(batch.size(), cfg_.max_batch);
-    stats_.on_batch(batch.size(), uniq_rel.size());
+    stats_.on_batch(batch.size());
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       RouteReply reply;
       reply.status = ServeStatus::kOk;
-      const std::span<const Generator> word = solved.word(slot[i]);
+      const std::span<const Generator> word = solved.word(i);
       reply.word.assign(word.begin(), word.end());
       reply.t = batch[i].t;
       reply.t.batch_ns = t_batch;

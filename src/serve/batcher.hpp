@@ -12,23 +12,23 @@
 //                                                               │ trigger
 //                                                               ▼
 //                     reply future  ◄───  micro-batch worker: drain up to
-//                                         max_batch or linger µs, coalesce
-//                                         translation-equivalent requests,
-//                                         one RouteEngine::route_batch call
+//                                         max_batch or linger µs, one
+//                                         RouteEngine::route_batch call
 //
 // Key design points:
 //  * Requests are dispatched to workers by the *route-cache shard* of their
 //    relative permutation W = V^{-1}∘U (the engine's cache key).  Every
-//    translation-equivalent request therefore lands on the same worker —
-//    duplicates coalesce inside a batch (solved once, fanned out) and
-//    across batches (cache hit) — and no two workers ever contend on one
-//    cache shard.
+//    translation-equivalent request therefore lands on the same worker, so
+//    with the cache on a repeated W is solved once and then served from the
+//    cache, and no two workers ever contend on one cache shard.
 //  * The dual trigger batches under load without taxing idle latency: a
 //    worker ships as soon as it holds `max_batch` requests, or `linger_us`
 //    after the first request of the batch arrived, whichever comes first.
 //  * With max_batch <= 256, RouteEngine::route_batch solves inline on the
-//    worker thread (no nested thread-pool hop) into a worker-owned arena:
-//    zero steady-state allocation on the solve path.
+//    worker thread (no nested thread-pool hop), in request order, into a
+//    worker-owned arena: a duplicate inside a batch is a cache hit on its
+//    first copy's entry, and the solve path allocates nothing in steady
+//    state.
 //  * Every submitted request gets exactly one reply — Ok with the word, or
 //    an explicit Shed/Closed status.  offered == delivered + shed is an
 //    invariant, tested under concurrent mixed traffic.
@@ -127,7 +127,6 @@ class RouteService {
   std::vector<std::unique_ptr<RequestQueue>> queues_;
   std::vector<std::thread> workers_;
 
-  std::uint64_t identity_rank_ = 0;
   std::atomic<std::uint64_t> queued_depth_{0};  ///< aggregate queue backlog
   std::atomic<std::uint64_t> in_flight_{0};     ///< admitted, not yet replied
   std::atomic<bool> closed_{false};

@@ -62,7 +62,6 @@ struct RouteReply {
 struct ServeRequest {
   std::uint64_t src = 0;
   std::uint64_t dst = 0;
-  std::uint64_t rel = 0;  ///< rank of V^{-1}∘U — the route-cache key
   ServeTimestamps t;
   std::promise<RouteReply> reply;
 };

@@ -52,13 +52,11 @@ std::uint64_t LatencyHistogram::Snapshot::percentile(std::uint64_t q_num,
   return max;
 }
 
-void ServiceStats::on_batch(std::size_t size, std::size_t unique) {
-  // A batch never ships empty, and coalescing only removes duplicates.
+void ServiceStats::on_batch(std::size_t size) {
+  // A batch never ships empty.
   SCG_DCHECK_GT(size, std::size_t{0});
-  SCG_DCHECK_LE(unique, size);
   batches_.fetch_add(1, std::memory_order_relaxed);
   batched_requests_.fetch_add(size, std::memory_order_relaxed);
-  coalesced_.fetch_add(size - unique, std::memory_order_relaxed);
   std::uint64_t seen = occupancy_max_.load(std::memory_order_relaxed);
   while (size > seen && !occupancy_max_.compare_exchange_weak(
                             seen, size, std::memory_order_relaxed)) {
@@ -88,7 +86,6 @@ ServiceStatsSnapshot ServiceStats::snapshot(
   s.rejected_closed = rejected_closed_.load(std::memory_order_relaxed);
   s.in_flight = in_flight;
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
   const std::uint64_t batched =
       batched_requests_.load(std::memory_order_relaxed);
   s.occupancy_mean = s.batches == 0 ? 0.0
@@ -127,7 +124,6 @@ std::string ServiceStatsSnapshot::json() const {
   u("rejected_closed", rejected_closed);
   u("in_flight", in_flight);
   u("batches", batches);
-  u("coalesced", coalesced);
   d("occupancy_mean", occupancy_mean);
   u("occupancy_max", occupancy_max);
   u("total_p50_ns", total.percentile(50));

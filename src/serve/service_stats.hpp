@@ -97,7 +97,11 @@ struct ServiceStatsSnapshot {
 
   // Micro-batching.
   std::uint64_t batches = 0;          ///< route_batch calls across workers
-  std::uint64_t coalesced = 0;        ///< requests answered by a batchmate's solve
+  /// Always 0: RouteService no longer coalesces batchmates; a repeated W
+  /// is a route-cache hit instead.  Kept only because
+  /// benchmark/scg_bench.cpp reads it.  The benchmark change that drops
+  /// its coalesced-fraction probe (ROADMAP item 3) deletes this field.
+  std::uint64_t coalesced = 0;
   double occupancy_mean = 0;          ///< requests per batch
   std::uint64_t occupancy_max = 0;
   std::array<std::uint64_t, 16> occupancy_log2{};  ///< batch-size histogram, bucket = floor(log2(size))
@@ -143,9 +147,8 @@ class ServiceStats {
   }
   void on_admitted() { admitted_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// One micro-batch of `size` requests, `unique` of them distinct after
-  /// relative-permutation coalescing.
-  void on_batch(std::size_t size, std::size_t unique);
+  /// One micro-batch of `size` requests.
+  void on_batch(std::size_t size);
 
   /// One request completed OK; records every stage histogram.
   void on_complete(const ServeTimestamps& t);
@@ -167,7 +170,6 @@ class ServiceStats {
 
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> occupancy_max_{0};
   std::array<std::atomic<std::uint64_t>, 16> occupancy_log2_{};
 

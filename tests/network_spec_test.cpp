@@ -224,6 +224,30 @@ TEST(Factories, RejectBadParameters) {
   EXPECT_THROW(make_insertion_selection(1), std::invalid_argument);
 }
 
+TEST(Factories, RejectMoreThanMaxSymbols) {
+  // k = 21 = l*n+1 with (l, n) = (4, 5) or (2, 10), one past kMaxSymbols.
+  EXPECT_THROW(make_macro_star(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_rotation_star(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_complete_rotation_star(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_macro_rotator(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_rotation_rotator(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_complete_rotation_rotator(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_insertion_selection(21), std::invalid_argument);
+  EXPECT_THROW(make_macro_is(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_rotation_is(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_complete_rotation_is(4, 5), std::invalid_argument);
+  EXPECT_THROW(make_star_graph(21), std::invalid_argument);
+  EXPECT_THROW(make_rotator_graph(21), std::invalid_argument);
+  EXPECT_THROW(make_bubble_sort_graph(21), std::invalid_argument);
+  EXPECT_THROW(make_transposition_network(21), std::invalid_argument);
+  EXPECT_THROW(make_pancake_graph(21), std::invalid_argument);
+  EXPECT_THROW(make_partial_rotation_star(4, 5, {1}), std::invalid_argument);
+  EXPECT_THROW(make_partial_rotation_is(4, 5, {1}), std::invalid_argument);
+  EXPECT_THROW(make_recursive_macro_star(2, 2, 5), std::invalid_argument);
+  // Products that overflow int are rejected, not wrapped.
+  EXPECT_THROW(make_macro_star(1 << 16, 1 << 16), std::invalid_argument);
+}
+
 TEST(Theorem44, BalancedSplitMinimisesDegree) {
   // k - 1 = 12: splits (3,4)/(4,3) give degree 6, beating (2,6)/(6,2) = 7
   // and (1,12)/(12,1) = 12.

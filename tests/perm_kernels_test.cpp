@@ -26,12 +26,9 @@
 namespace scg {
 namespace {
 
-using perm_kernels::apply_table;
-using perm_kernels::compose;
 using perm_kernels::inverse;
 using perm_kernels::rank;
 using perm_kernels::relabel;
-using perm_kernels::relabel_by;
 using perm_kernels::unrank;
 
 /// Restores the startup tier when a test body returns or fails.
@@ -47,7 +44,8 @@ class TierGuard {
 };
 
 /// Batch sizes straddling every vector width: below, at, and past the
-/// 2-lane AVX2 step and the 8-wide lockstep groups, odd and even.
+/// 2-lane AVX2 shuffle step and the 4-lane fused unrank groups, odd and
+/// even.
 const std::size_t kSizes[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64, 101};
 
 Permutation random_perm(int k, std::mt19937_64& rng) {
@@ -170,21 +168,6 @@ TEST_P(KernelDifferential, ShuffleFamilyMatchesPermutationOps) {
     for (const std::size_t n : kSizes) {
       const std::vector<Permutation> ra = fill_random(a, k, n, rng);
       const std::vector<Permutation> rb = fill_random(b, k, n, rng);
-      const Permutation fixed = random_perm(k, rng);
-      const PermLane fixed_lane = make_perm_lane(fixed);
-
-      apply_table(a, fixed_lane, out);
-      for (std::size_t i = 0; i < n; ++i) {
-        expect_lane_is(out, i, ra[i].compose_positions(fixed), "apply_table");
-      }
-      compose(a, b, out);
-      for (std::size_t i = 0; i < n; ++i) {
-        expect_lane_is(out, i, ra[i].compose_positions(rb[i]), "compose");
-      }
-      relabel_by(a, fixed_lane, out);
-      for (std::size_t i = 0; i < n; ++i) {
-        expect_lane_is(out, i, ra[i].relabel_symbols(fixed), "relabel_by");
-      }
       relabel(a, b, out);
       for (std::size_t i = 0; i < n; ++i) {
         expect_lane_is(out, i, ra[i].relabel_symbols(rb[i]), "relabel");
@@ -201,23 +184,36 @@ TEST_P(KernelDifferential, ShuffleKernelsAreAliasSafe) {
     for (const std::size_t n : {std::size_t{7}, std::size_t{32}}) {
       const std::vector<Permutation> ra = fill_random(a, k, n, rng);
       fill_random(b, k, n, rng);
-      compose(a, b, expect);
-      compose(a, b, a);  // out aliases the left operand
+      relabel(a, b, expect);
+      relabel(a, b, a);  // out aliases the relabeled operand
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(std::memcmp(a.lane(i), expect.lane(i), a.stride()), 0)
-            << "in-place compose, k=" << k << " lane " << i;
+            << "relabel into a, k=" << k << " lane " << i;
       }
-      a.resize(k, n);
       for (std::size_t i = 0; i < n; ++i) a.set(i, ra[i]);
-      const PermLane tab = make_perm_lane(random_perm(k, rng));
-      apply_table(a, tab, expect);
-      apply_table(a, tab, a);  // in-place generator application
+      relabel(a, b, b);  // out aliases the relabeling operand
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::memcmp(a.lane(i), expect.lane(i), a.stride()), 0)
-            << "in-place apply, k=" << k << " lane " << i;
+        ASSERT_EQ(std::memcmp(b.lane(i), expect.lane(i), b.stride()), 0)
+            << "relabel into b, k=" << k << " lane " << i;
       }
     }
   }
+}
+
+TEST(KernelInputs, RelabelRejectsMismatchedBlocks) {
+  PermBlock a, b, out;
+  a.resize(9, 8);
+  b.resize(10, 8);
+  EXPECT_THROW(relabel(a, b, out), std::invalid_argument);
+  b.resize(9, 7);
+  EXPECT_THROW(relabel(a, b, out), std::invalid_argument);
+}
+
+TEST(KernelInputs, RankRejectsWrongOutputLength) {
+  PermBlock a;
+  a.resize(9, 8);
+  std::vector<std::uint64_t> out(7);
+  EXPECT_THROW(rank(a, std::span<std::uint64_t>(out)), std::invalid_argument);
 }
 
 TEST_P(KernelDifferential, InverseMatchesAndRejectsAliasing) {
@@ -236,7 +232,7 @@ TEST_P(KernelDifferential, InverseMatchesAndRejectsAliasing) {
   EXPECT_THROW(inverse(a, a), std::invalid_argument);
 }
 
-TEST_P(KernelDifferential, LockstepUnrankRankMatchScalar) {
+TEST_P(KernelDifferential, UnrankRankMatchScalar) {
   const TierGuard guard(GetParam());
   std::mt19937_64 rng(99);
   PermBlock block;

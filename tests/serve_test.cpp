@@ -4,7 +4,7 @@
 //  * Byte identity — every word a served reply carries is exactly what the
 //    scalar route() returns for the same (src, dst), under >= 4 concurrent
 //    submitters on >= 3 families with translation-equivalent duplicates in
-//    flight (the coalescing and cache paths must never change an answer).
+//    flight (the route cache must never change an answer).
 //  * Conservation — offered == delivered + shed + closed exactly.  A shed
 //    request is an explicit reply, never a silent drop, under rate
 //    limiting, load shedding, full queues, and shutdown races.
@@ -124,9 +124,9 @@ TEST(LatencyHistogram, PercentileWithinBucketError) {
 // RequestQueue
 // ---------------------------------------------------------------------------
 
-ServeRequest make_req(std::uint64_t rel) {
+ServeRequest make_req(std::uint64_t src) {
   ServeRequest r;
-  r.rel = rel;
+  r.src = src;
   return r;
 }
 
@@ -148,7 +148,7 @@ TEST(RequestQueue, PopBatchDrainsUpToMax) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(make_req(i)));
   std::vector<ServeRequest> batch;
   EXPECT_EQ(q.pop_batch(batch, 4, std::chrono::microseconds(0)), 4u);
-  EXPECT_EQ(batch[0].rel, 0u);  // FIFO
+  EXPECT_EQ(batch[0].src, 0u);  // FIFO
   EXPECT_EQ(q.pop_batch(batch, 4, std::chrono::microseconds(0)), 4u);
   EXPECT_EQ(q.pop_batch(batch, 4, std::chrono::microseconds(0)), 2u);
   EXPECT_EQ(q.depth(), 0u);
@@ -324,8 +324,8 @@ TEST(RouteService, ByteIdenticalUnderConcurrentMixedTraffic) {
     EXPECT_EQ(snap.completed_ok, snap.offered) << net.name;
     EXPECT_EQ(snap.shed_load + snap.shed_rate + snap.rejected_closed, 0u);
     expect_conserved(snap);
-    // Duplicates hit either batch coalescing or the route cache.
-    EXPECT_GT(snap.cache.hits + snap.coalesced, 0u) << net.name;
+    // Duplicates are route-cache hits.
+    EXPECT_GT(snap.cache.hits, 0u) << net.name;
   }
 }
 
@@ -393,22 +393,38 @@ TEST(RouteService, TrySubmitShedsOnFullQueueInsteadOfBlocking) {
   expect_conserved(svc.snapshot());
 }
 
-TEST(RouteService, CoalescesTranslationEquivalentRequests) {
+TEST(RouteService, SolvesARepeatedRelativePermutationOnce) {
+  // Left translation preserves W = V^{-1}∘U: the n distinct pairs
+  // (σ∘U, σ∘V) all share one W.  Keyed dispatch sends every copy to one
+  // worker, whose in-order batch caches the first solve before the next
+  // copy looks it up — within a batch as much as across batches.
   const NetworkSpec net = make_macro_star(2, 2);
   RouteServiceConfig cfg;
-  cfg.workers = 1;
+  cfg.workers = 2;
   cfg.max_batch = 64;
   cfg.linger_us = 20'000;
   RouteService svc(net, cfg);
+  const Permutation u = Permutation::unrank(net.k(), 3);
+  const Permutation v = Permutation::unrank(net.k(), 77);
+  constexpr std::uint64_t kPairs = 64;
+  std::vector<std::pair<Permutation, Permutation>> pairs;
   std::vector<std::future<RouteReply>> futs;
-  for (int i = 0; i < 64; ++i) futs.push_back(svc.submit(3, 77));
-  for (auto& f : futs) EXPECT_EQ(f.get().status, ServeStatus::kOk);
+  for (std::uint64_t i = 0; i < kPairs; ++i) {
+    const Permutation sigma = Permutation::unrank(net.k(), i);
+    pairs.emplace_back(u.relabel_symbols(sigma), v.relabel_symbols(sigma));
+    futs.push_back(
+        svc.submit(pairs.back().first.rank(), pairs.back().second.rank()));
+  }
+  for (std::uint64_t i = 0; i < kPairs; ++i) {
+    const RouteReply reply = futs[i].get();
+    ASSERT_EQ(reply.status, ServeStatus::kOk);
+    EXPECT_EQ(reply.word, route(net, pairs[i].first, pairs[i].second)) << i;
+  }
   svc.drain();
   const ServiceStatsSnapshot snap = svc.snapshot();
-  // All 64 requests share one relative permutation: each batch solves it
-  // at most once (coalesced within a batch, cached across batches).
-  EXPECT_LE(snap.cache.misses, snap.batches);
-  EXPECT_EQ(snap.completed_ok, 64u);
+  EXPECT_EQ(snap.cache.misses, 1u);
+  EXPECT_EQ(snap.cache.hits, kPairs - 1);
+  EXPECT_EQ(snap.completed_ok, kPairs);
   expect_conserved(snap);
 }
 
