@@ -35,6 +35,12 @@
 //                                                 dispatch tier + micro-timings
 //                                                 with scalar identity check
 //   scg_cli policies                              list registered route policies
+//   scg_cli paper [NAME|all]                      regenerate one (or every)
+//                                                 table of EXPERIMENTS.md:
+//                                                 fig4 fig5 fig6 table1 bounds
+//                                                 ratios intercluster bisection
+//                                                 ipg ablation collectives
+//                                                 routing (scg_paper.cpp)
 //
 // <family> ∈ {MS, RS, cRS, MR, RR, cRR, IS, MIS, RIS, cRIS, star, rotator,
 //             pancake, bubble, transposition}; permutations are digit
@@ -69,6 +75,8 @@
 #include "sim/workloads.hpp"
 #include "topology/io.hpp"
 #include "topology/metrics.hpp"
+
+int cmd_paper(const std::string& name);  // scg_paper.cpp
 
 namespace {
 
@@ -442,7 +450,7 @@ int run(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: scg_cli info|route|trace|dot|histogram|sim|chaos|"
-                 "serve-bench|kernels|families|policies ...\n");
+                 "serve-bench|kernels|families|policies|paper ...\n");
     return 2;
   }
   scg::register_oracle_policy();    // make "oracle" selectable by name
@@ -461,6 +469,7 @@ int run(int argc, char** argv) {
     return 0;
   }
   if (cmd == "kernels") return cmd_kernels();
+  if (cmd == "paper") return cmd_paper(argc > 2 ? argv[2] : "");
   if (argc < 5) {
     std::fprintf(stderr, "usage: scg_cli %s <family> <l> <n> ...\n", cmd.c_str());
     return 2;

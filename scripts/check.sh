@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus sanitizer passes:
-#   1. default build + full ctest (the tier-1 gate), the bench gates, and
-#      a smoke run of the repo benchmark (benchmark/run.sh);
+#   1. default build + full ctest (the tier-1 gate, including the
+#      scg_cli_paper_* goldens against EXPERIMENTS.md), the bench gates,
+#      and a smoke run of the repo benchmark (benchmark/run.sh);
 #   2. ASan+UBSan build + the fast-labelled tests (large sweeps excluded —
 #      run `ctest --preset asan-fast` with no label filter to widen);
 #   3. standalone UBSan build of the kernel-heavy suites (permutation,
@@ -27,8 +28,8 @@ oracle_table="$(mktemp /tmp/scg-oracle.XXXXXX)"
 ./build/examples/scg_cli oracle query MS 2 2 "$oracle_table" 53421 12345
 rm -f "$oracle_table"
 
-echo "== routing benches: correctness report + engine throughput gate =="
-./build/bench/bench_routing
+echo "== engine bench: route throughput gate =="
+# (The routing-quality report is the scg_cli_paper_routing ctest above.)
 # Every bench gate runs its bench in a scratch dir and compares the fresh
 # JSON with the committed baseline (scripts/bench_gate.sh).
 scripts/bench_gate.sh build/bench/bench_engine bench/baseline_engine.json

@@ -1,14 +1,15 @@
 // AdaptiveFaultPolicy — link-health-adaptive routing.  The policy is both a
 // RoutePolicy (so the event core's lazy router can use it) and a SimObserver
 // (so the same run feeds it the signals a real NIC sees: per-hop service
-// time and timeouts).  It keeps a per-channel EWMA of observed service
-// cycles against the channel's healthy baseline; a channel whose EWMA
-// inflates past `quarantine_factor` x baseline — a fail-slow link, or one
-// that timed out — is quarantined: routes avoid it as if it had failed.
-// Quarantine is *advisory* and expires: after `quarantine_cycles` without
+// time and timeouts).  It keeps a per-channel EWMA (alpha 0.3) of observed
+// service cycles against the channel's healthy baseline; a channel whose
+// EWMA inflates past 3x baseline — a fail-slow link, or one that timed out
+// (scored as 8x baseline) — is quarantined: routes avoid it as if it had
+// failed.  Quarantine is *advisory* and expires: after 1024 cycles without
 // fresh evidence the channel is re-admitted with a forgiven (reset) EWMA,
 // so healed transients return to service while a still-sick link re-indicts
-// itself within ~1/alpha samples.
+// itself within ~1/alpha samples.  The four numbers are the constants at the
+// top of adaptive_policy.cpp.
 //
 // The rerouter() adaptor is the load-bearing guarantee: it routes around
 // the union of the ground-truth FaultSet and the quarantine set, but falls
@@ -31,21 +32,9 @@
 
 namespace scg {
 
-struct AdaptivePolicyConfig {
-  double ewma_alpha = 0.3;         ///< weight of the newest sample
-  double quarantine_factor = 3.0;  ///< quarantine when ewma > factor * baseline
-  /// One timeout is scored as this many multiples of the channel baseline
-  /// (a dead hop is worse than any slow one; 8x trips a 3x factor from a
-  /// healthy EWMA in a single observation).
-  double timeout_penalty = 8.0;
-  std::uint64_t quarantine_cycles = 1024;  ///< probation before re-admission
-  FaultRouterConfig router;
-};
-
 class AdaptiveFaultPolicy final : public RoutePolicy, public SimObserver {
  public:
-  explicit AdaptiveFaultPolicy(const NetworkSpec& net,
-                               AdaptivePolicyConfig cfg = {});
+  explicit AdaptiveFaultPolicy(const NetworkSpec& net) : router_(net) {}
 
   // -- RoutePolicy --
   std::string name() const override { return "adaptive"; }
@@ -72,7 +61,6 @@ class AdaptiveFaultPolicy final : public RoutePolicy, public SimObserver {
   /// EWMA / baseline ratio for the u<->v channel (1.0 when unobserved).
   double health(std::uint64_t u, std::uint64_t v) const;
 
-  std::size_t quarantined_channels() const { return quarantine_.num_failed_arcs() / 2; }
   bool quarantined(std::uint64_t u, std::uint64_t v) const {
     return quarantine_.arc_failed(u, v);
   }
@@ -109,7 +97,6 @@ class AdaptiveFaultPolicy final : public RoutePolicy, public SimObserver {
   void sweep(std::uint64_t now);  ///< re-admit expired quarantines
 
   FaultRouter router_;
-  AdaptivePolicyConfig cfg_;
   std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, ChannelHealth,
                      KeyHash>
       health_;

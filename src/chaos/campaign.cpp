@@ -68,8 +68,8 @@ CampaignResult run_campaign(const std::vector<NetworkSpec>& families,
 
   EventSimConfig ec;
   ec.flits_per_packet = 1;
-  ec.onchip_cycles_per_flit = cfg.onchip_cycles;
-  ec.offchip_cycles_per_flit = cfg.offchip_cycles;
+  ec.onchip_cycles_per_flit = 1;
+  ec.offchip_cycles_per_flit = 2;
   ec.fault_mode = true;
   ec.timeout_cycles = cfg.timeout_cycles;
   ec.max_retransmits = cfg.max_retransmits;

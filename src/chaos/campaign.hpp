@@ -42,8 +42,6 @@ struct CampaignConfig {
   int packets_per_node = 4;      ///< uniform random traffic density
   std::uint64_t seed = 7;        ///< traffic + script seed root
 
-  int onchip_cycles = 1;
-  int offchip_cycles = 2;
   int timeout_cycles = 4;
   int max_retransmits = 8;
   std::uint64_t max_cycles = std::uint64_t{1} << 20;  ///< watchdog horizon

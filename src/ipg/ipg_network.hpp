@@ -6,8 +6,8 @@
 // The point the paper makes: a super Cayley graph's *intercluster* behavior
 // is exactly an IPG — collapsing the nucleus detail — so IPGs achieve
 // optimal intercluster diameters when clusters are larger than one nucleus.
-// `bench_ipg` verifies the correspondence: the IPG diameter equals the
-// matching super Cayley graph's intercluster diameter.
+// `scg_cli paper ipg` compares the two: the IPG's diameter sits between the
+// matching super Cayley graph's intercluster diameter and its full diameter.
 #pragma once
 
 #include <string>

@@ -7,7 +7,7 @@
 //  2. on a blocked hop, bounded local repair: deroute through the surviving
 //     generator whose re-routed remainder is shortest (never re-entering a
 //     node already on the path), re-solve the game from there, and retry —
-//     up to `repair_budget` blocked hops;
+//     up to kRepairBudget (8) blocked hops;
 //  3. precomputed backup routes: the degree-many internally node-disjoint
 //     s-t paths the paper's maximal fault tolerance promises (constructed by
 //     node-splitting max-flow, cached per pair) — with <= degree-1 link
@@ -50,13 +50,9 @@ struct RouteOutcome {
   int hops() const { return static_cast<int>(word.size()); }
 };
 
-struct FaultRouterConfig {
-  int repair_budget = 8;       ///< blocked hops tolerated before escalating
-  int hop_budget_factor = 4;   ///< walk at most factor*(primary+k)+16 hops
-  bool use_disjoint_backups = true;  ///< stage 3 (skipped over the limit)
-  std::uint64_t backup_node_limit = 40000;   ///< max N for max-flow backups
-  std::uint64_t bfs_node_limit = std::uint64_t{1} << 24;  ///< stage-4 cap
-};
+/// Largest network whose node-disjoint backup paths are built (stage 3):
+/// the max-flow network is explicit.
+inline constexpr std::uint64_t kBackupNodeLimit = 40000;
 
 /// Degree-many internally node-disjoint s-t paths, via node-splitting
 /// unit-capacity max-flow over the compiled view (the operational face of
@@ -65,7 +61,7 @@ struct FaultRouterConfig {
 /// explicit).
 std::vector<std::vector<std::uint64_t>> node_disjoint_paths(
     const NetworkSpec& net, std::uint64_t s, std::uint64_t t,
-    std::uint64_t max_nodes = 40000);
+    std::uint64_t max_nodes = kBackupNodeLimit);
 
 /// Converts a node-rank path into the generator word realizing it.  Throws
 /// if consecutive ranks are not joined by a generator of `net`.
@@ -76,7 +72,7 @@ std::vector<Generator> word_from_path(const NetworkSpec& net,
 /// Thread-safe for concurrent route() calls (the backup cache is locked).
 class FaultRouter {
  public:
-  explicit FaultRouter(const NetworkSpec& net, FaultRouterConfig cfg = {});
+  explicit FaultRouter(const NetworkSpec& net);
 
   RouteOutcome route(const Permutation& from, const Permutation& to,
                      const FaultSet& faults) const;
@@ -89,7 +85,6 @@ class FaultRouter {
                                                          std::uint64_t t) const;
 
   const NetworkSpec& spec() const { return *net_; }
-  const FaultRouterConfig& config() const { return cfg_; }
 
   /// The shared zero-allocation engine behind primary routes and repair
   /// probes (its relative-permutation cache persists across route() calls).
@@ -103,7 +98,6 @@ class FaultRouter {
   const NetworkSpec* net_;
   NetworkView view_;
   RouteEngine engine_;
-  FaultRouterConfig cfg_;
 
   struct PairHash {
     std::size_t operator()(

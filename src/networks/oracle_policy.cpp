@@ -3,17 +3,17 @@
 namespace scg {
 
 OraclePolicy::OraclePolicy(const NetworkSpec& net, ThreadPool* pool)
-    : router_(net, pool) {}
+    : oracle_(DistanceOracle::build(net, pool)) {}
 
 OraclePolicy::OraclePolicy(DistanceOracle oracle)
-    : router_(std::move(oracle)) {}
+    : oracle_(std::move(oracle)) {}
 
 void OraclePolicy::route_path(std::uint64_t src, std::uint64_t dst,
                               std::vector<std::uint32_t>& out) {
-  const int k = router_.spec().k();
+  const int k = oracle_.spec().k();
   Permutation u = Permutation::unrank(k, src);
   const std::vector<Generator> word =
-      router_.route(u, Permutation::unrank(k, dst));
+      oracle_.optimal_route(u, Permutation::unrank(k, dst));
   out.clear();
   out.reserve(word.size() + 1);
   out.push_back(static_cast<std::uint32_t>(src));
@@ -24,9 +24,9 @@ void OraclePolicy::route_path(std::uint64_t src, std::uint64_t dst,
 }
 
 int OraclePolicy::route_hops(std::uint64_t src, std::uint64_t dst) {
-  const int k = router_.spec().k();
-  return router_.distance(Permutation::unrank(k, src),
-                          Permutation::unrank(k, dst));
+  const int k = oracle_.spec().k();
+  return oracle_.exact_distance(Permutation::unrank(k, src),
+                                Permutation::unrank(k, dst));
 }
 
 void register_oracle_policy() {

@@ -142,13 +142,9 @@ int GamePolicy::route_hops(std::uint64_t src, std::uint64_t dst) {
 // FaultPolicy
 // ---------------------------------------------------------------------------
 
-FaultPolicy::FaultPolicy(const NetworkSpec& net, FaultSet faults,
-                         FaultRouterConfig cfg)
-    : router_(net, cfg), faults_(std::move(faults)) {}
-
 void FaultPolicy::route_path(std::uint64_t src, std::uint64_t dst,
                              std::vector<std::uint32_t>& out) {
-  const RouteOutcome outcome = router_.route(src, dst, faults_);
+  const RouteOutcome outcome = router_.route(src, dst, no_faults_);
   if (!outcome.delivered()) {
     throw std::runtime_error("fault policy: unreachable: " + outcome.reason);
   }
@@ -160,7 +156,7 @@ void FaultPolicy::route_path(std::uint64_t src, std::uint64_t dst,
 }
 
 int FaultPolicy::route_hops(std::uint64_t src, std::uint64_t dst) {
-  const RouteOutcome outcome = router_.route(src, dst, faults_);
+  const RouteOutcome outcome = router_.route(src, dst, no_faults_);
   if (!outcome.delivered()) {
     throw std::runtime_error("fault policy: unreachable: " + outcome.reason);
   }

@@ -1,6 +1,6 @@
 // RoutePolicy — one pluggable interface over every routing path the repo
 // has: the game solver behind RouteEngine (scalar route() plays the same
-// kernels), the fault-aware FaultRouter, the provably-shortest OracleRouter,
+// kernels), the fault-aware FaultRouter, the provably-shortest OraclePolicy,
 // and per-destination BFS over any NetworkView (GraphRoutes).  The
 // discrete-event simulation core (sim/event_core.hpp) routes traffic through
 // this interface — lazily, in batches, at injection time — and benches,
@@ -54,8 +54,6 @@ class PathArena {
   std::uint32_t hops(std::size_t i) const {
     return static_cast<std::uint32_t>(off_[i + 1] - off_[i] - 1);
   }
-
-  std::uint64_t total_nodes() const { return nodes_.size(); }
 
   void clear() {
     nodes_.clear();
@@ -180,16 +178,14 @@ class BfsPolicy : public RoutePolicy {
   GraphRoutes routes_;
 };
 
-/// Fault-aware routing under a fixed FaultSet snapshot: game route verified
-/// hop by hop, local repair, disjoint backups, BFS fallback — the full
-/// FaultRouter escalation.  With an empty FaultSet this produces exactly
-/// the primary game routes (useful as the pristine path source for
-/// degradation experiments).  Throws std::runtime_error when the snapshot
-/// leaves dst unreachable.
+/// The FaultRouter as a policy, over the fault-free network: it emits
+/// exactly the primary game routes, the pristine path source for
+/// degradation experiments (faults injected during a run reach the
+/// router through make_rerouter).  Throws std::runtime_error when dst is
+/// unreachable.
 class FaultPolicy : public RoutePolicy {
  public:
-  explicit FaultPolicy(const NetworkSpec& net, FaultSet faults = {},
-                       FaultRouterConfig cfg = {});
+  explicit FaultPolicy(const NetworkSpec& net) : router_(net) {}
 
   std::string name() const override { return "fault"; }
   void route_path(std::uint64_t src, std::uint64_t dst,
@@ -199,12 +195,9 @@ class FaultPolicy : public RoutePolicy {
     return router_.engine().cache_stats();
   }
 
-  const FaultRouter& router() const { return router_; }
-  const FaultSet& faults() const { return faults_; }
-
  private:
   FaultRouter router_;
-  FaultSet faults_;
+  FaultSet no_faults_;  ///< always empty
 };
 
 // ---------------------------------------------------------------------------

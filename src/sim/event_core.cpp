@@ -44,6 +44,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Fault mode's retransmit backoff: the first retry waits kBackoffBase
+/// cycles past the timeout, each further one twice as long, up to
+/// kBackoffCap.
+constexpr std::uint64_t kBackoffBase = 2;
+constexpr std::uint64_t kBackoffCap = 1024;
+
 std::uint64_t ns_since(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
@@ -331,10 +337,8 @@ EventSimResult run_core(const Graph& g, const OffchipTable& offchip,
       ps.path = ps.owned.data();
       ps.len = static_cast<std::uint32_t>(ps.owned.size());
       ps.hop = 0;
-      const std::uint64_t backoff = std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(cfg.backoff_cap),
-          static_cast<std::uint64_t>(cfg.backoff_base)
-              << (ps.retransmits - 1));
+      const std::uint64_t backoff =
+          std::min(kBackoffCap, kBackoffBase << (ps.retransmits - 1));
       push_ev(Event{ev.time + static_cast<std::uint64_t>(cfg.timeout_cycles) +
                         backoff,
                     ev.packet, 0});

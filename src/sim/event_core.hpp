@@ -49,8 +49,6 @@ struct EventSimConfig {
   bool fault_mode = false;
   int timeout_cycles = 4;    ///< detection delay when a hop is dead
   int max_retransmits = 8;   ///< rerouting attempts before dropping
-  int backoff_base = 2;      ///< first retry waits base, then doubles...
-  int backoff_cap = 1024;    ///< ...up to this many cycles
   std::uint64_t max_cycles = std::uint64_t{1} << 32;  ///< hard stop
 
   /// Lazy routing granularity: pairs routed per RoutePolicy::route_paths

@@ -47,13 +47,6 @@ std::vector<SimPacket> total_exchange_packets(const NetworkSpec& net);
 /// Total exchange on an explicit graph (shortest-path routed).
 std::vector<SimPacket> total_exchange_packets(const Graph& g);
 
-/// Multinode broadcast, emulated as unicasts: each node sends one packet to
-/// every other node (same traffic matrix as TE; no multicast combining —
-/// the substitution is documented in DESIGN.md).
-inline std::vector<SimPacket> multinode_broadcast_packets(const NetworkSpec& net) {
-  return total_exchange_packets(net);
-}
-
 /// Uniform random traffic: `per_node` packets per source to uniformly
 /// random destinations (excluding self).
 std::vector<SimPacket> random_traffic_packets(const NetworkSpec& net,

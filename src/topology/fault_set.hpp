@@ -46,7 +46,6 @@ class FaultSet {
     arcs_.erase(key(u, v));
     arcs_.erase(key(v, u));
   }
-  void repair_arc(std::uint64_t u, std::uint64_t v) { arcs_.erase(key(u, v)); }
 
   /// Unions another fault set into this one (advisory quarantines merge
   /// with ground-truth faults this way).

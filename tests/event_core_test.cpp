@@ -157,8 +157,7 @@ EventSimResult ref_simulate_mcmp_faulty(
       ps.path = std::move(repaired);
       ps.hop = 0;
       const std::uint64_t backoff = std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(cfg.backoff_cap),
-          static_cast<std::uint64_t>(cfg.backoff_base) << (ps.retransmits - 1));
+          1024, std::uint64_t{2} << (ps.retransmits - 1));
       pq.push(Event{
           ev.time + static_cast<std::uint64_t>(cfg.timeout_cycles) + backoff,
           ev.packet});

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "analysis/oracle_audit.hpp"
-#include "networks/oracle_router.hpp"
 #include "networks/router.hpp"
 #include "oracle/oracle.hpp"
 #include "topology/bfs.hpp"
@@ -98,14 +97,14 @@ TEST(Oracle, ResidueIsDistanceMod3) {
 
 void expect_optimal_routes(const NetworkSpec& net, std::uint64_t s_stride = 3,
                            std::uint64_t t_stride = 5) {
-  const OracleRouter router(net);
+  const DistanceOracle oracle = DistanceOracle::build(net);
   for (std::uint64_t s = 0; s < net.num_nodes(); s += s_stride) {
     const Permutation from = Permutation::unrank(net.k(), s);
     for (std::uint64_t t = 0; t < net.num_nodes(); t += t_stride) {
       const Permutation to = Permutation::unrank(net.k(), t);
-      const std::vector<Generator> word = router.route(from, to);
+      const std::vector<Generator> word = oracle.optimal_route(from, to);
       ASSERT_EQ(check_route(net, from, to, word), "") << net.name;
-      const int exact = router.distance(from, to);
+      const int exact = oracle.exact_distance(from, to);
       ASSERT_EQ(static_cast<int>(word.size()), exact) << net.name;
       // Never longer than the game router's play.
       ASSERT_LE(word.size(), route(net, from, to).size()) << net.name;
