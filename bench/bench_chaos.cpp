@@ -6,11 +6,11 @@
 // between the fault-oblivious reroute baseline and the adaptive
 // link-health policy.
 //
-// Usage: bench_chaos [output.json]
-// Prints a human-readable report; with an argument additionally writes the
-// same numbers as machine-readable JSON (see bench/baseline_chaos.json).
-// Exits non-zero if any cell has invariant violations or the transient
-// convergence gate fails — this binary doubles as the chaos CI gate.
+// Prints a human-readable report and writes the same numbers to
+// bench/baseline_chaos.json, or checks them against it with --check FILE
+// (bench/json_out.hpp).  The event core is single-threaded and seeded, so
+// every field is exact.  Exits non-zero if any cell has invariant
+// violations or the transient convergence gate fails, in either mode.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,8 +29,8 @@
 
 namespace {
 
+using benchjson::exact;
 using benchjson::Json;
-using benchjson::kv;
 
 using scg::CampaignCell;
 using scg::CampaignConfig;
@@ -43,27 +43,25 @@ std::vector<NetworkSpec> campaign_families() {
           scg::make_star_graph(5)};
 }
 
-std::string cell_fields(const CampaignCell& c) {
-  // Identity fields first, then integer counters (the cross-compiler-stable
-  // gating surface), then floating summaries for human reading.
-  return kv("family", c.family) + ", " +
-         kv("kind", std::string(scg::fault_kind_name(c.kind))) + ", " +
-         kv("rate", c.rate) + ", " +
-         kv("count", static_cast<std::uint64_t>(c.count)) + ", " +
-         kv("packets", c.result.packets) + ", " +
-         kv("delivered", c.result.delivered) + ", " +
-         kv("dropped", c.result.dropped) + ", " +
-         kv("timeouts", c.result.timeouts) + ", " +
-         kv("retransmissions", c.result.retransmissions) + ", " +
-         kv("completion_cycles", c.result.completion_cycles) + ", " +
-         kv("truncated", static_cast<std::uint64_t>(c.result.truncated)) +
-         ", " + kv("violations", c.invariants.violations) + ", " +
-         kv("checks", c.invariants.checks) + ", " +
-         kv("fully_repaired", static_cast<std::uint64_t>(c.fully_repaired)) +
-         ", " + kv("delivered_fraction", c.result.delivered_fraction) + ", " +
-         kv("fault_fraction", c.fault_fraction) + ", " +
-         kv("avg_latency", c.result.avg_latency) + ", " +
-         kv("avg_stretch", c.result.avg_stretch);
+benchjson::Row cell_fields(const CampaignCell& c) {
+  // Identity fields first, then integer counters, then floating summaries.
+  return {exact("family", c.family),
+          exact("kind", std::string(scg::fault_kind_name(c.kind))),
+          exact("rate", c.rate), exact("count", c.count),
+          exact("packets", c.result.packets),
+          exact("delivered", c.result.delivered),
+          exact("dropped", c.result.dropped),
+          exact("timeouts", c.result.timeouts),
+          exact("retransmissions", c.result.retransmissions),
+          exact("completion_cycles", c.result.completion_cycles),
+          exact("truncated", c.result.truncated),
+          exact("violations", c.invariants.violations),
+          exact("checks", c.invariants.checks),
+          exact("fully_repaired", c.fully_repaired),
+          exact("delivered_fraction", c.result.delivered_fraction),
+          exact("fault_fraction", c.fault_fraction),
+          exact("avg_latency", c.result.avg_latency),
+          exact("avg_stretch", c.result.avg_stretch)};
 }
 
 // Full kind x rate grid with the fault-oblivious reroute baseline.  Every
@@ -91,7 +89,6 @@ std::uint64_t campaign_section(Json& json) {
                 static_cast<unsigned long long>(c.invariants.violations));
     json.row(cell_fields(c));
   }
-  json.end_array();
   std::printf("total invariant violations: %llu (want 0)\n",
               static_cast<unsigned long long>(r.total_violations));
   return r.total_violations;
@@ -139,27 +136,25 @@ std::uint64_t transient_convergence_section(Json& json) {
     const scg::EventSimResult clean =
         scg::simulate_events(g, offchip, pairs, *policy, ec, {}, &rr);
 
-    const bool exact =
+    const bool matched =
         faulty.delivered_fraction == clean.delivered_fraction &&
         faulty.delivered == clean.delivered && stats.fully_repaired &&
         audit.ok();
-    if (!exact) ++failures;
+    if (!matched) ++failures;
     std::printf("%-20s outages=%-3d repaired=%d timeouts=%-4llu "
                 "delivered=%.6f fault-free=%.6f %s\n",
                 net.name.c_str(), script.count, stats.fully_repaired,
                 static_cast<unsigned long long>(faulty.timeouts),
                 faulty.delivered_fraction, clean.delivered_fraction,
-                exact ? "EXACT" : "MISMATCH");
-    json.row(kv("family", net.name) + ", " +
-             kv("outages", static_cast<std::uint64_t>(script.count)) + ", " +
-             kv("delivered", faulty.delivered) + ", " +
-             kv("fault_free_delivered", clean.delivered) + ", " +
-             kv("timeouts", faulty.timeouts) + ", " +
-             kv("retransmissions", faulty.retransmissions) + ", " +
-             kv("violations", audit.violations) + ", " +
-             kv("exact_match", static_cast<std::uint64_t>(exact)));
+                matched ? "EXACT" : "MISMATCH");
+    json.row({exact("family", net.name), exact("outages", script.count),
+              exact("delivered", faulty.delivered),
+              exact("fault_free_delivered", clean.delivered),
+              exact("timeouts", faulty.timeouts),
+              exact("retransmissions", faulty.retransmissions),
+              exact("violations", audit.violations),
+              exact("exact_match", matched)});
   }
-  json.end_array();
   return failures;
 }
 
@@ -227,26 +222,23 @@ std::uint64_t adaptive_section(Json& json) {
                 static_cast<unsigned long long>(quarantines),
                 static_cast<unsigned long long>(readmissions),
                 static_cast<unsigned long long>(audit.violations));
-    json.row(kv("family", net.name) + ", " +
-             kv("policy", std::string(adaptive ? "adaptive" : "fault")) +
-             ", " + kv("slow_links", static_cast<std::uint64_t>(script.count)) +
-             ", " + kv("packets", r.packets) + ", " +
-             kv("delivered", r.delivered) + ", " +
-             kv("timeouts", r.timeouts) + ", " +
-             kv("quarantines", quarantines) + ", " +
-             kv("readmissions", readmissions) + ", " +
-             kv("violations", audit.violations) + ", " +
-             kv("avg_latency", r.avg_latency) + ", " +
-             kv("p99_latency", r.p99_latency));
+    json.row({exact("family", net.name),
+              exact("policy", std::string(adaptive ? "adaptive" : "fault")),
+              exact("slow_links", script.count), exact("packets", r.packets),
+              exact("delivered", r.delivered), exact("timeouts", r.timeouts),
+              exact("quarantines", quarantines),
+              exact("readmissions", readmissions),
+              exact("violations", audit.violations),
+              exact("avg_latency", r.avg_latency),
+              exact("p99_latency", r.p99_latency)});
   }
-  json.end_array();
   return violations;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Json json;
+  Json json(argc, argv, "bench/baseline_chaos.json");
   std::uint64_t bad = 0;
   bad += campaign_section(json);
   bad += transient_convergence_section(json);
@@ -257,11 +249,11 @@ int main(int argc, char** argv) {
       "differential on drops), transient scripts that fully heal reproduce\n"
       "the fault-free delivered fraction exactly, and the adaptive policy\n"
       "quarantines fail-slow links that the oblivious baseline keeps using.\n");
-  if (argc > 1) json.finish(argv[1]);
+  const int status = json.finish();
   if (bad != 0) {
     std::printf("CHAOS GATE FAILED: %llu violations/mismatches\n",
                 static_cast<unsigned long long>(bad));
     return 1;
   }
-  return 0;
+  return status;
 }

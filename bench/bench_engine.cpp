@@ -2,8 +2,9 @@
 // solving vs relative-permutation cache hits, per family, plus the
 // end-to-end MCMP effect (packet generation through the engine must produce
 // byte-identical paths — and therefore an identical EventSimResult —
-// measurably faster than the legacy per-pair route_trace path).  Emits
-// bench/baseline_engine.json for scripts/compare_bench.py regression gating.
+// measurably faster than the legacy per-pair route_trace path).  Writes
+// bench/baseline_engine.json, or checks a run against it with --check FILE
+// (bench/json_out.hpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -19,6 +20,9 @@
 
 namespace {
 
+using benchjson::exact;
+using benchjson::info;
+using benchjson::rate;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
@@ -103,17 +107,14 @@ void bench_family(const scg::NetworkSpec& net, std::size_t count,
               batch_rps / scalar_rps, cached_rps / scalar_rps,
               hops_agree ? "" : "HOP MISMATCH!");
 
-  json.row(benchjson::kv("name", net.name) + ", " +
-           benchjson::kv("k", std::uint64_t(k)) + ", " +
-           benchjson::kv("pairs", std::uint64_t(count)) + ", " +
-           benchjson::kv("scalar_rps", scalar_rps) + ", " +
-           benchjson::kv("batch_rps", batch_rps) + ", " +
-           benchjson::kv("cached_rps", cached_rps) + ", " +
-           benchjson::kv("batch_speedup", batch_rps / scalar_rps) + ", " +
-           benchjson::kv("cached_speedup", cached_rps / scalar_rps) + ", " +
-           benchjson::kv("total_hops", batch_hops) + ", " +
-           benchjson::kv("cache_hits", stats.hits) + ", " +
-           benchjson::kv("hops_agree", std::uint64_t(hops_agree)));
+  // cache_hits is info: chunks racing on the same W can both miss.
+  json.row({exact("name", net.name), exact("k", k), exact("pairs", count),
+            rate("scalar_rps", scalar_rps), rate("batch_rps", batch_rps),
+            rate("cached_rps", cached_rps),
+            rate("batch_speedup", batch_rps / scalar_rps),
+            rate("cached_speedup", cached_rps / scalar_rps),
+            exact("total_hops", batch_hops), info("cache_hits", stats.hits),
+            exact("hops_agree", hops_agree)});
 }
 
 /// Flow traffic: `flows` distinct (src, dst) pairs, each carrying
@@ -183,16 +184,12 @@ void bench_family_flows(const scg::NetworkSpec& net, std::size_t flows,
               static_cast<unsigned long long>(stats.hits),
               hops_agree ? "" : "HOP MISMATCH!");
 
-  json.row(benchjson::kv("name", net.name) + ", " +
-           benchjson::kv("k", std::uint64_t(k)) + ", " +
-           benchjson::kv("flows", std::uint64_t(flows)) + ", " +
-           benchjson::kv("pairs", std::uint64_t(count)) + ", " +
-           benchjson::kv("scalar_rps", scalar_rps) + ", " +
-           benchjson::kv("batch_rps", batch_rps) + ", " +
-           benchjson::kv("batch_speedup", batch_rps / scalar_rps) + ", " +
-           benchjson::kv("total_hops", batch_hops) + ", " +
-           benchjson::kv("cache_hits", stats.hits) + ", " +
-           benchjson::kv("hops_agree", std::uint64_t(hops_agree)));
+  json.row({exact("name", net.name), exact("k", k), exact("flows", flows),
+            exact("pairs", count), rate("scalar_rps", scalar_rps),
+            rate("batch_rps", batch_rps),
+            rate("batch_speedup", batch_rps / scalar_rps),
+            exact("total_hops", batch_hops), info("cache_hits", stats.hits),
+            exact("hops_agree", hops_agree)});
 }
 
 /// Thread sweep over one family (cache off, so the scaling is the solver
@@ -212,9 +209,8 @@ void bench_threads(const scg::NetworkSpec& net, std::size_t count,
     const double rps = static_cast<double>(count) / seconds_since(t0);
     std::printf("%-18s threads=%zu batch=%-10.0f r/s\n", net.name.c_str(),
                 threads, rps);
-    json.row(benchjson::kv("name", net.name) + ", " +
-             benchjson::kv("threads", std::uint64_t(threads)) + ", " +
-             benchjson::kv("batch_rps", rps));
+    json.row({exact("name", net.name), exact("threads", threads),
+              rate("batch_rps", rps)});
   }
 }
 
@@ -310,23 +306,19 @@ void bench_mcmp(const scg::NetworkSpec& net, const char* workload,
               results_identical ? "yes" : "NO",
               static_cast<unsigned long long>(batched_r.completion_cycles));
 
-  json.row(benchjson::kv("name", net.name) + ", " +
-           benchjson::kv("workload", std::string(workload)) + ", " +
-           benchjson::kv("packets", std::uint64_t(batched.size())) + ", " +
-           benchjson::kv("legacy_gen_s", legacy_s) + ", " +
-           benchjson::kv("engine_gen_s", engine_s) + ", " +
-           benchjson::kv("gen_speedup", legacy_s / engine_s) + ", " +
-           benchjson::kv("paths_identical", std::uint64_t(paths_identical)) +
-           ", " +
-           benchjson::kv("sim_identical", std::uint64_t(results_identical)) +
-           ", " + benchjson::kv("completion_cycles",
-                                batched_r.completion_cycles));
+  json.row({exact("name", net.name), exact("workload", std::string(workload)),
+            exact("packets", batched.size()), info("legacy_gen_s", legacy_s),
+            info("engine_gen_s", engine_s),
+            rate("gen_speedup", legacy_s / engine_s),
+            exact("paths_identical", paths_identical),
+            exact("sim_identical", results_identical),
+            exact("completion_cycles", batched_r.completion_cycles)});
 }
 
 }  // namespace
 
-int main() {
-  benchjson::Json json;
+int main(int argc, char** argv) {
+  benchjson::Json json(argc, argv, "bench/baseline_engine.json");
 
   std::printf("=== RouteEngine throughput: scalar vs batch vs cached ===\n");
   json.begin_array("throughput");
@@ -346,19 +338,16 @@ int main() {
   bench_family(scg::make_recursive_macro_star(2, 2, 2), 10000, json);
   bench_family(scg::make_recursive_macro_star(2, 2, 3), 5000, json);
   bench_family(scg::make_complete_rotation_star(4, 2), 10000, json);
-  json.end_array();
 
   std::printf("\n=== Flow traffic: as-shipped batch API vs scalar ===\n");
   json.begin_array("flow_throughput");
   bench_family_flows(scg::make_macro_star(3, 2), 2000, 10, json);
   bench_family_flows(scg::make_complete_rotation_star(4, 2), 2000, 10, json);
   bench_family_flows(scg::make_recursive_macro_star(2, 2, 2), 2000, 10, json);
-  json.end_array();
 
   std::printf("\n=== Batch thread sweep (cache off) ===\n");
   json.begin_array("threads");
   bench_threads(scg::make_macro_star(3, 2), 20000, json);
-  json.end_array();
 
   std::printf("\n=== End-to-end MCMP: legacy vs engine packet generation ===\n");
   json.begin_array("mcmp");
@@ -374,8 +363,5 @@ int main() {
         ms51, "rand", [&] { return legacy_random_traffic(ms51, 8, 7); },
         [&] { return scg::random_traffic_packets(ms51, 8, 7); }, json);
   }
-  json.end_array();
-
-  json.finish("bench/baseline_engine.json");
-  return 0;
+  return json.finish();
 }

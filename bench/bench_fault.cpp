@@ -4,9 +4,10 @@
 // stretch vs number of failed links), node-disjoint backup paths, and MCMP
 // degradation with links dying mid-run.
 //
-// Usage: bench_fault [output.json]
-// Prints a human-readable report; with an argument additionally writes the
-// same numbers as machine-readable JSON (see bench/baseline_fault.json).
+// Prints a human-readable report and writes the same numbers to
+// bench/baseline_fault.json, or checks them against it with --check FILE
+// (bench/json_out.hpp).  Every field is seeded and none depends on timing
+// or the pool size, so every field is exact.
 #include <cstdio>
 #include <random>
 #include <string>
@@ -30,8 +31,8 @@ using scg::Graph;
 using scg::NetworkSpec;
 using scg::RouteOutcome;
 
+using benchjson::exact;
 using benchjson::Json;
-using benchjson::kv;
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> links_of(const Graph& g) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> links;
@@ -58,11 +59,10 @@ void connectivity_section(Json& json) {
                 static_cast<unsigned long long>(g.num_nodes()), net.degree(),
                 static_cast<unsigned long long>(ec),
                 static_cast<unsigned long long>(vc));
-    json.row(kv("name", net.name) + ", " + kv("n", g.num_nodes()) + ", " +
-             kv("degree", static_cast<std::uint64_t>(net.degree())) + ", " +
-             kv("edge_connectivity", ec) + ", " + kv("vertex_connectivity", vc));
+    json.row({exact("name", net.name), exact("n", g.num_nodes()),
+              exact("degree", net.degree()), exact("edge_connectivity", ec),
+              exact("vertex_connectivity", vc)});
   }
-  json.end_array();
 }
 
 void survival_section(Json& json) {
@@ -79,10 +79,9 @@ void survival_section(Json& json) {
     std::printf("%-20s survive(deg-1 links)=%.3f (deg+2 links)=%.3f "
                 "(2 nodes + 2 links)=%.3f\n",
                 net.name.c_str(), s1, s2, s3);
-    json.row(kv("name", net.name) + ", " + kv("deg_minus_1_links", s1) + ", " +
-             kv("deg_plus_2_links", s2) + ", " + kv("nodes2_links2", s3));
+    json.row({exact("name", net.name), exact("deg_minus_1_links", s1),
+              exact("deg_plus_2_links", s2), exact("nodes2_links2", s3)});
   }
-  json.end_array();
 }
 
 void routing_degradation_section(Json& json) {
@@ -124,17 +123,14 @@ void routing_degradation_section(Json& json) {
                   "avg_stretch=%.3f backup%%=%.1f bfs%%=%.1f\n",
                   net.name.c_str(), fails, df, avg_repairs, avg_stretch,
                   100.0 * backup / attempted, 100.0 * bfs / attempted);
-      json.row(kv("name", net.name) + ", " +
-               kv("links_failed", static_cast<std::uint64_t>(fails)) + ", " +
-               kv("delivered", df) + ", " + kv("avg_repairs", avg_repairs) +
-               ", " + kv("avg_stretch", avg_stretch) + ", " +
-               kv("backup_fraction",
-                  static_cast<double>(backup) / attempted) +
-               ", " +
-               kv("bfs_fraction", static_cast<double>(bfs) / attempted));
+      json.row({exact("name", net.name), exact("links_failed", fails),
+                exact("delivered", df), exact("avg_repairs", avg_repairs),
+                exact("avg_stretch", avg_stretch),
+                exact("backup_fraction",
+                      static_cast<double>(backup) / attempted),
+                exact("bfs_fraction", static_cast<double>(bfs) / attempted)});
     }
   }
-  json.end_array();
 }
 
 void disjoint_paths_section(Json& json) {
@@ -161,12 +157,10 @@ void disjoint_paths_section(Json& json) {
     std::printf("%-20s deg=%-2d avg_disjoint_paths=%.2f longest=%llu hops\n",
                 net.name.c_str(), net.degree(), avg,
                 static_cast<unsigned long long>(longest));
-    json.row(kv("name", net.name) + ", " +
-             kv("degree", static_cast<std::uint64_t>(net.degree())) + ", " +
-             kv("avg_disjoint_paths", avg) + ", " +
-             kv("longest_backup_hops", longest));
+    json.row({exact("name", net.name), exact("degree", net.degree()),
+              exact("avg_disjoint_paths", avg),
+              exact("longest_backup_hops", longest)});
   }
-  json.end_array();
 }
 
 void mcmp_degradation_section(Json& json) {
@@ -220,26 +214,24 @@ void mcmp_degradation_section(Json& json) {
                 static_cast<unsigned long long>(r.p50_latency),
                 static_cast<unsigned long long>(r.p99_latency), r.avg_stretch,
                 static_cast<unsigned long long>(r.completion_cycles));
-    json.row(kv("name", net.name) + ", " +
-             kv("link_kills", static_cast<std::uint64_t>(kills)) + ", " +
-             kv("packets", r.packets) + ", " +
-             kv("delivered_fraction", r.delivered_fraction) + ", " +
-             kv("retransmissions", r.retransmissions) + ", " +
-             kv("timeouts", r.timeouts) + ", " +
-             kv("p50_latency", r.p50_latency) + ", " +
-             kv("p99_latency", r.p99_latency) + ", " +
-             kv("avg_stretch", r.avg_stretch) + ", " +
-             kv("completion_cycles", r.completion_cycles) + ", " +
-             kv("events", r.telemetry.events_processed) + ", " +
-             kv("queue_peak", r.telemetry.queue_peak));
+    json.row({exact("name", net.name), exact("link_kills", kills),
+              exact("packets", r.packets),
+              exact("delivered_fraction", r.delivered_fraction),
+              exact("retransmissions", r.retransmissions),
+              exact("timeouts", r.timeouts),
+              exact("p50_latency", r.p50_latency),
+              exact("p99_latency", r.p99_latency),
+              exact("avg_stretch", r.avg_stretch),
+              exact("completion_cycles", r.completion_cycles),
+              exact("events", r.telemetry.events_processed),
+              exact("queue_peak", r.telemetry.queue_peak)});
   }
-  json.end_array();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Json json;
+  Json json(argc, argv, "bench/baseline_fault.json");
   connectivity_section(json);
   survival_section(json);
   routing_degradation_section(json);
@@ -250,6 +242,5 @@ int main(int argc, char** argv) {
       "(maximal fault tolerance), so below degree-many failures routing\n"
       "always delivers (repairs + disjoint backups), and the packet\n"
       "simulator degrades gracefully instead of losing traffic.\n");
-  if (argc > 1) json.finish(argv[1]);
-  return 0;
+  return json.finish();
 }

@@ -1,9 +1,9 @@
 // Permutation microkernel harness: the scalar Permutation ops vs the
 // dispatched kernels of RouteEngine::route_batch's keying path (relabel /
 // inverse / unrank / rank) at the paper's symbol counts, with a
-// byte-identity check on every op.  Emits bench/baseline_kernels.json for
-// scripts/compare_bench.py regression gating: `identical` is an exact
-// invariant, the *_rps / kernel_speedup fields are tolerance-gated rates.
+// byte-identity check on every op.  Writes bench/baseline_kernels.json, or
+// checks a run against it with --check FILE (bench/json_out.hpp):
+// `identical` is exact, the *_rps / kernel_speedup fields are rates.
 // Exits non-zero if any kernel output differs from the scalar reference.
 #include <algorithm>
 #include <chrono>
@@ -160,13 +160,12 @@ std::vector<OpRow> bench_k(int k, std::uint64_t& sink) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "bench/baseline_kernels.json";
+  benchjson::Json json(argc, argv, "bench/baseline_kernels.json");
   std::printf("permutation microkernels: dispatch tier = %s (batch %zu)\n\n",
               scg::kernel_tier_name(scg::active_kernel_tier()), kBatch);
   std::printf("%4s  %-8s  %12s  %12s  %8s  %s\n", "k", "op", "scalar M/s",
               "kernel M/s", "speedup", "identical");
 
-  benchjson::Json json;
   json.begin_array("kernels");
   std::uint64_t sink = 0;
   bool all_identical = true;
@@ -177,25 +176,19 @@ int main(int argc, char** argv) {
       std::printf("%4d  %-8s  %12.2f  %12.2f  %7.2fx  %s\n", k, r.name,
                   r.scalar_rps / 1e6, r.kernel_rps / 1e6, speedup,
                   r.identical ? "yes" : "NO");
-      std::string fields = benchjson::kv("name", std::string(r.name));
-      fields += ", " + benchjson::kv("k", static_cast<std::uint64_t>(k));
-      fields += ", " + benchjson::kv("pairs",
-                                     static_cast<std::uint64_t>(kBatch));
-      fields += ", " + benchjson::kv("scalar_rps", r.scalar_rps);
-      fields += ", " + benchjson::kv("kernel_rps", r.kernel_rps);
-      fields += ", " + benchjson::kv("kernel_speedup", speedup);
-      fields += ", " + benchjson::kv(
-                           "identical",
-                           static_cast<std::uint64_t>(r.identical ? 1 : 0));
-      json.row(fields);
+      json.row({benchjson::exact("name", std::string(r.name)),
+                benchjson::exact("k", k), benchjson::exact("pairs", kBatch),
+                benchjson::rate("scalar_rps", r.scalar_rps),
+                benchjson::rate("kernel_rps", r.kernel_rps),
+                benchjson::rate("kernel_speedup", speedup),
+                benchjson::exact("identical", r.identical)});
     }
   }
-  json.end_array();
-  json.finish(out_path);
+  const int status = json.finish();
   std::printf("(sink %llu)\n", static_cast<unsigned long long>(sink & 7));
   if (!all_identical) {
     std::printf("FAIL: a kernel output differed from the scalar reference\n");
     return 1;
   }
-  return 0;
+  return status;
 }

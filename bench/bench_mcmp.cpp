@@ -11,9 +11,9 @@
 // The lazy_vs_prerouted section times the end-to-end acceptance workload —
 // a >= 100k-packet run both ways (materialise every path up front vs route
 // in chunks as traffic enters) and checks the results are identical.
-// Emits bench/baseline_sim.json for scripts/compare_bench.py gating:
-// completion_cycles / total_hops / packets / sim_identical are invariants,
-// sim_rps and lazy_speedup are machine-speed rates.
+// Writes bench/baseline_sim.json, or checks a run against it with --check
+// FILE (bench/json_out.hpp): every simulator counter, avg_latency and
+// sim_identical are exact, sim_rps and lazy_speedup are machine-speed rates.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +30,9 @@
 
 namespace {
 
+using benchjson::exact;
+using benchjson::info;
+using benchjson::rate;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
@@ -51,18 +54,15 @@ void print_row(const std::string& name, const char* workload,
 void json_row(benchjson::Json& json, const std::string& name,
               const char* workload, const char* policy,
               const scg::EventSimResult& r, double elapsed_s) {
-  json.row(benchjson::kv("name", name) + ", " +
-           benchjson::kv("workload", std::string(workload)) + ", " +
-           benchjson::kv("policy", std::string(policy)) + ", " +
-           benchjson::kv("packets", r.packets) + ", " +
-           benchjson::kv("completion_cycles", r.completion_cycles) + ", " +
-           benchjson::kv("total_hops", r.total_hops) + ", " +
-           benchjson::kv("offchip_hops", r.offchip_hops) + ", " +
-           benchjson::kv("avg_latency", r.avg_latency) + ", " +
-           benchjson::kv("events", r.telemetry.events_processed) + ", " +
-           benchjson::kv("queue_peak", r.telemetry.queue_peak) + ", " +
-           benchjson::kv("sim_rps",
-                         static_cast<double>(r.packets) / elapsed_s));
+  json.row({exact("name", name), exact("workload", std::string(workload)),
+            exact("policy", std::string(policy)), exact("packets", r.packets),
+            exact("completion_cycles", r.completion_cycles),
+            exact("total_hops", r.total_hops),
+            exact("offchip_hops", r.offchip_hops),
+            exact("avg_latency", r.avg_latency),
+            exact("events", r.telemetry.events_processed),
+            exact("queue_peak", r.telemetry.queue_peak),
+            rate("sim_rps", static_cast<double>(r.packets) / elapsed_s)});
 }
 
 /// One Cayley workload through the registry's "game" policy, routed lazily
@@ -151,26 +151,22 @@ void lazy_vs_prerouted(const scg::NetworkSpec& net, const char* workload,
               static_cast<unsigned long long>(lazy.packets), pre_s, lazy_s,
               speedup, identical ? "yes" : "NO",
               100.0 * lazy.telemetry.cache_hit_rate());
-  json.row(benchjson::kv("name", net.name) + ", " +
-           benchjson::kv("workload", std::string(workload)) + ", " +
-           benchjson::kv("packets", lazy.packets) + ", " +
-           benchjson::kv("completion_cycles", lazy.completion_cycles) + ", " +
-           benchjson::kv("total_hops", lazy.total_hops) + ", " +
-           benchjson::kv("sim_identical",
-                         static_cast<std::uint64_t>(identical ? 1 : 0)) +
-           ", " + benchjson::kv("prerouted_s", pre_s) + ", " +
-           benchjson::kv("lazy_s", lazy_s) + ", " +
-           benchjson::kv("lazy_speedup", speedup) + ", " +
-           benchjson::kv("events", lazy.telemetry.events_processed) + ", " +
-           benchjson::kv("queue_peak", lazy.telemetry.queue_peak) + ", " +
-           benchjson::kv("route_chunks", lazy.telemetry.route_chunks) + ", " +
-           benchjson::kv("cache_hit_rate", lazy.telemetry.cache_hit_rate()));
+  json.row({exact("name", net.name), exact("workload", std::string(workload)),
+            exact("packets", lazy.packets),
+            exact("completion_cycles", lazy.completion_cycles),
+            exact("total_hops", lazy.total_hops),
+            exact("sim_identical", identical), info("prerouted_s", pre_s),
+            info("lazy_s", lazy_s), rate("lazy_speedup", speedup),
+            exact("events", lazy.telemetry.events_processed),
+            exact("queue_peak", lazy.telemetry.queue_peak),
+            exact("route_chunks", lazy.telemetry.route_chunks),
+            info("cache_hit_rate", lazy.telemetry.cache_hit_rate())});
 }
 
 }  // namespace
 
-int main() {
-  benchjson::Json json;
+int main(int argc, char** argv) {
+  benchjson::Json json(argc, argv, "bench/baseline_sim.json");
   std::printf("=== MCMP workloads (constant pinout, w = 1 per node) ===\n");
   json.begin_array("workloads");
 
@@ -225,7 +221,6 @@ int main() {
               scg::total_exchange_pairs(hc.num_nodes()), json, /*flits=*/4,
               /*offchip_cycles_override=*/7);
   }
-  json.end_array();
 
   std::printf(
       "--- lazy injection-time routing vs pre-materialised paths ---\n");
@@ -244,7 +239,6 @@ int main() {
     lazy_vs_prerouted(crs, "TE",
                       scg::total_exchange_pairs(crs.num_nodes()), json);
   }
-  json.end_array();
 
   std::printf(
       "\nExpectation (paper): the small intercluster degree of super Cayley\n"
@@ -252,6 +246,5 @@ int main() {
       "random routing complete in fewer cycles than on a hypercube whose\n"
       "pin budget is split over log2 N links — under store-and-forward and\n"
       "cut-through switching alike (Section 4.2).\n");
-  json.finish("bench/baseline_sim.json");
-  return 0;
+  return json.finish();
 }

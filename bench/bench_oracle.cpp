@@ -3,9 +3,9 @@
 // exact whole-graph statistics, and oracle-exact optimality audits of the
 // game routers.
 //
-// Usage: bench_oracle [output.json]
-// Prints a human-readable report; with an argument additionally writes the
-// same numbers as machine-readable JSON (see bench/baseline_oracle.json).
+// Prints a human-readable report and writes the same numbers to
+// bench/baseline_oracle.json, or checks them against it with --check FILE
+// (bench/json_out.hpp): the timings are info, everything else is exact.
 #include <chrono>
 #include <cstdio>
 #include <random>
@@ -18,8 +18,9 @@
 
 namespace {
 
+using benchjson::exact;
+using benchjson::info;
 using benchjson::Json;
-using benchjson::kv;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
@@ -45,14 +46,12 @@ void build_section(Json& json) {
                 static_cast<unsigned long long>(oracle.num_states()),
                 net.degree(), secs, rate / 1e6, oracle.diameter(),
                 oracle.average_distance());
-    json.row(kv("name", net.name) + ", " + kv("states", oracle.num_states()) +
-             ", " + kv("degree", static_cast<std::uint64_t>(net.degree())) +
-             ", " + kv("build_seconds", secs) + ", " +
-             kv("states_per_second", rate) + ", " +
-             kv("diameter", static_cast<std::uint64_t>(oracle.diameter())) +
-             ", " + kv("avg_distance", oracle.average_distance()));
+    json.row({exact("name", net.name), exact("states", oracle.num_states()),
+              exact("degree", net.degree()), info("build_seconds", secs),
+              info("states_per_second", rate),
+              exact("diameter", oracle.diameter()),
+              exact("avg_distance", oracle.average_distance())});
   }
-  json.end_array();
 }
 
 void query_section(Json& json) {
@@ -75,13 +74,11 @@ void query_section(Json& json) {
     std::printf("%-20s %d random pairs: %8.0f ns/query (avg distance %.3f)\n",
                 net.name.c_str(), kQueries, ns,
                 static_cast<double>(dist_sum) / kQueries);
-    json.row(kv("name", net.name) + ", " +
-             kv("queries", static_cast<std::uint64_t>(kQueries)) + ", " +
-             kv("ns_per_query", ns) + ", " +
-             kv("avg_query_distance",
-                static_cast<double>(dist_sum) / kQueries));
+    json.row({exact("name", net.name), exact("queries", kQueries),
+              info("ns_per_query", ns),
+              exact("avg_query_distance",
+                    static_cast<double>(dist_sum) / kQueries)});
   }
-  json.end_array();
 }
 
 void audit_section(Json& json) {
@@ -98,14 +95,13 @@ void audit_section(Json& json) {
                 "formula-check=%s\n",
                 net.name.c_str(), 100.0 * a.optimal_fraction(), a.avg_stretch,
                 a.max_gap, check.empty() ? "ok" : check.c_str());
-    json.row(kv("name", net.name) + ", " + kv("sources", a.sources) + ", " +
-             kv("optimal_fraction", a.optimal_fraction()) + ", " +
-             kv("avg_stretch", a.avg_stretch) + ", " +
-             kv("max_stretch", a.max_stretch) + ", " +
-             kv("max_gap", static_cast<std::uint64_t>(a.max_gap)) + ", " +
-             kv("formula_check", check.empty() ? std::string("ok") : check));
+    json.row({exact("name", net.name), exact("sources", a.sources),
+              exact("optimal_fraction", a.optimal_fraction()),
+              exact("avg_stretch", a.avg_stretch),
+              exact("max_stretch", a.max_stretch),
+              exact("max_gap", a.max_gap),
+              exact("formula_check", check.empty() ? std::string("ok") : check)});
   }
-  json.end_array();
 }
 
 void backup_section(Json& json) {
@@ -121,18 +117,17 @@ void backup_section(Json& json) {
                 net.name.c_str(), static_cast<unsigned long long>(a.pairs),
                 static_cast<unsigned long long>(a.paths), a.avg_stretch,
                 a.avg_best_stretch, a.max_stretch);
-    json.row(kv("name", net.name) + ", " + kv("pairs", a.pairs) + ", " +
-             kv("paths", a.paths) + ", " + kv("avg_stretch", a.avg_stretch) +
-             ", " + kv("avg_best_stretch", a.avg_best_stretch) + ", " +
-             kv("max_stretch", a.max_stretch));
+    json.row({exact("name", net.name), exact("pairs", a.pairs),
+              exact("paths", a.paths), exact("avg_stretch", a.avg_stretch),
+              exact("avg_best_stretch", a.avg_best_stretch),
+              exact("max_stretch", a.max_stretch)});
   }
-  json.end_array();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Json json;
+  Json json(argc, argv, "bench/baseline_oracle.json");
   build_section(json);
   query_section(json);
   audit_section(json);
@@ -142,6 +137,5 @@ int main(int argc, char** argv) {
       "point queries are microsecond-scale, the exact diameters respect the\n"
       "paper's closed-form bounds, and the audits quantify exactly how far\n"
       "each game router is from optimal play.\n");
-  if (argc > 1) json.finish(argv[1]);
-  return 0;
+  return json.finish();
 }

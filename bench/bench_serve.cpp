@@ -1,9 +1,11 @@
 // RouteService serving benchmark: thread-scaling under closed-loop load,
 // the linger-vs-latency micro-batching trade-off, and graceful overload
 // shedding.  Every cell re-verifies correctness (sampled words byte-equal
-// to scalar route(), offered == delivered + shed exactly) so the emitted
-// bench/baseline_serve.json gates invariants, not just rates, through
-// scripts/compare_bench.py.
+// to scalar route(), offered == delivered + shed exactly).  Writes
+// bench/baseline_serve.json, or checks a run against it with --check FILE
+// (bench/json_out.hpp): the cell parameters and correctness flags are
+// exact, serve_rps is a rate, and latencies, occupancy and hit rates are
+// info.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,8 +18,10 @@
 
 namespace {
 
+using benchjson::exact;
+using benchjson::info;
 using benchjson::Json;
-using benchjson::kv;
+using benchjson::rate;
 
 /// Sampled byte-identity check: every `stride`-th pair round-trips through
 /// the live service and must match the scalar router exactly.
@@ -46,10 +50,10 @@ std::uint64_t conserved(const scg::LoadGenReport& rep,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Json json(argc, argv, "bench/baseline_serve.json");
   const scg::NetworkSpec net = scg::make_macro_star(2, 3);  // k=7, 5040 nodes
   const std::string family = "MS(2,3)";
-  Json json;
 
   // -------------------------------------------------------------------
   // Thread scaling: closed loop, linger off, throughput bounded by the
@@ -78,20 +82,17 @@ int main() {
     const std::uint64_t words_ok = words_match_scalar(svc, scaling_pairs, 512);
     const scg::ServiceStatsSnapshot snap = svc.snapshot();
 
-    json.row(kv("name", std::string("closed_loop")) + ", " +
-             kv("family", family) + ", " +
-             kv("mode", std::string("closed")) + ", " +
-             kv("workers", static_cast<std::uint64_t>(workers)) + ", " +
-             kv("concurrency", static_cast<std::uint64_t>(lg.concurrency)) +
-             ", " + kv("offered", rep.offered) + ", " +
-             kv("conservation", conserved(rep, snap)) + ", " +
-             kv("words_ok", words_ok) + ", " +
-             kv("serve_rps", rep.achieved_qps) + ", " +
-             kv("p50_us", static_cast<double>(rep.latency.p50) / 1e3) + ", " +
-             kv("p99_us", static_cast<double>(rep.latency.p99) / 1e3) + ", " +
-             kv("p999_us", static_cast<double>(rep.latency.p999) / 1e3) +
-             ", " + kv("occupancy_mean", snap.occupancy_mean) + ", " +
-             kv("cache_hit_rate", snap.cache_hit_rate()));
+    json.row({exact("name", std::string("closed_loop")),
+              exact("family", family), exact("mode", std::string("closed")),
+              exact("workers", workers), exact("concurrency", lg.concurrency),
+              exact("offered", rep.offered),
+              exact("conservation", conserved(rep, snap)),
+              exact("words_ok", words_ok), rate("serve_rps", rep.achieved_qps),
+              info("p50_us", static_cast<double>(rep.latency.p50) / 1e3),
+              info("p99_us", static_cast<double>(rep.latency.p99) / 1e3),
+              info("p999_us", static_cast<double>(rep.latency.p999) / 1e3),
+              info("occupancy_mean", snap.occupancy_mean),
+              info("cache_hit_rate", snap.cache_hit_rate())});
     std::printf("thread_scaling workers=%d: %.0f req/s  p99=%.0f us  "
                 "occupancy=%.1f  conserved=%llu words_ok=%llu\n",
                 workers, rep.achieved_qps,
@@ -100,7 +101,6 @@ int main() {
                 static_cast<unsigned long long>(conserved(rep, snap)),
                 static_cast<unsigned long long>(words_ok));
   }
-  json.end_array();
 
   // -------------------------------------------------------------------
   // Linger trade-off: open-loop Poisson arrivals at a fixed rate; a longer
@@ -125,17 +125,15 @@ int main() {
     const scg::LoadGenReport rep = run_loadgen(svc, linger_pairs, lg);
     const scg::ServiceStatsSnapshot snap = svc.snapshot();
 
-    json.row(kv("name", std::string("linger")) + ", " + kv("family", family) +
-             ", " + kv("mode", std::string("open")) + ", " +
-             kv("workers", std::uint64_t{2}) + ", " +
-             kv("linger_us", linger_us) + ", " +
-             kv("qps", std::uint64_t{40'000}) + ", " +
-             kv("offered", rep.offered) + ", " +
-             kv("conservation", conserved(rep, snap)) + ", " +
-             kv("p50_us", static_cast<double>(rep.latency.p50) / 1e3) + ", " +
-             kv("p99_us", static_cast<double>(rep.latency.p99) / 1e3) + ", " +
-             kv("occupancy_mean", snap.occupancy_mean) + ", " +
-             kv("cache_hit_rate", snap.cache_hit_rate()));
+    json.row({exact("name", std::string("linger")), exact("family", family),
+              exact("mode", std::string("open")), exact("workers", 2),
+              exact("linger_us", linger_us), exact("qps", 40'000),
+              exact("offered", rep.offered),
+              exact("conservation", conserved(rep, snap)),
+              info("p50_us", static_cast<double>(rep.latency.p50) / 1e3),
+              info("p99_us", static_cast<double>(rep.latency.p99) / 1e3),
+              info("occupancy_mean", snap.occupancy_mean),
+              info("cache_hit_rate", snap.cache_hit_rate())});
     std::printf("linger_tradeoff linger=%llu us: p50=%.0f us  p99=%.0f us  "
                 "occupancy=%.1f\n",
                 static_cast<unsigned long long>(linger_us),
@@ -143,7 +141,6 @@ int main() {
                 static_cast<double>(rep.latency.p99) / 1e3,
                 snap.occupancy_mean);
   }
-  json.end_array();
 
   // -------------------------------------------------------------------
   // Overload: offer 6x the admitted rate.  The service must shed the
@@ -169,18 +166,16 @@ int main() {
     const scg::ServiceStatsSnapshot snap = svc.snapshot();
     const std::uint64_t shed_nonzero = rep.shed() > 0 ? 1 : 0;
 
-    json.row(kv("name", std::string("overload")) + ", " +
-             kv("family", family) + ", " + kv("mode", std::string("open")) +
-             ", " + kv("workers", std::uint64_t{2}) + ", " +
-             kv("qps", std::uint64_t{60'000}) + ", " +
-             kv("rate_limit", std::uint64_t{10'000}) + ", " +
-             kv("offered", rep.offered) + ", " +
-             kv("conservation", conserved(rep, snap)) + ", " +
-             kv("shed_nonzero", shed_nonzero) + ", " +
-             kv("shed_fraction", snap.shed_fraction()) + ", " +
-             kv("delivered_qps", rep.achieved_qps) + ", " +
-             kv("admitted_p99_us",
-                static_cast<double>(snap.total.percentile(99)) / 1e3));
+    json.row({exact("name", std::string("overload")), exact("family", family),
+              exact("mode", std::string("open")), exact("workers", 2),
+              exact("qps", 60'000), exact("rate_limit", 10'000),
+              exact("offered", rep.offered),
+              exact("conservation", conserved(rep, snap)),
+              exact("shed_nonzero", shed_nonzero),
+              info("shed_fraction", snap.shed_fraction()),
+              info("delivered_qps", rep.achieved_qps),
+              info("admitted_p99_us",
+                   static_cast<double>(snap.total.percentile(99)) / 1e3)});
     std::printf("overload_shedding: offered=%llu ok=%llu shed=%llu  "
                 "admitted p99=%.0f us  conserved=%llu\n",
                 static_cast<unsigned long long>(rep.offered),
@@ -189,8 +184,5 @@ int main() {
                 static_cast<double>(snap.total.percentile(99)) / 1e3,
                 static_cast<unsigned long long>(conserved(rep, snap)));
   }
-  json.end_array();
-
-  json.finish("bench/baseline_serve.json");
-  return 0;
+  return json.finish();
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus sanitizer passes:
-#   1. default build + full ctest (the tier-1 gate, including the
-#      scg_cli_paper_* goldens against EXPERIMENTS.md), the bench gates,
-#      and a smoke run of the repo benchmark (benchmark/run.sh);
+#   1. default build + full ctest (the tier-1 gate: every smoke, the
+#      scg_cli_paper_* goldens against EXPERIMENTS.md and the bench_check_*
+#      baseline checks), and a smoke run of the repo benchmark
+#      (benchmark/run.sh);
 #   2. ASan+UBSan build + the fast-labelled tests (large sweeps excluded —
 #      run `ctest --preset asan-fast` with no label filter to widen);
 #   3. standalone UBSan build of the kernel-heavy suites (permutation,
@@ -21,59 +22,6 @@ echo "== tier-1: default build =="
 cmake --preset default
 cmake --build --preset default -j"$(nproc)"
 ctest --preset default -j"$(nproc)"
-
-echo "== oracle smoke: build + reload a tiny exact-distance table =="
-oracle_table="$(mktemp /tmp/scg-oracle.XXXXXX)"
-./build/examples/scg_cli oracle build MS 2 2 "$oracle_table"
-./build/examples/scg_cli oracle query MS 2 2 "$oracle_table" 53421 12345
-rm -f "$oracle_table"
-
-echo "== engine bench: route throughput gate =="
-# (The routing-quality report is the scg_cli_paper_routing ctest above.)
-# Every bench gate runs its bench in a scratch dir and compares the fresh
-# JSON with the committed baseline (scripts/bench_gate.sh).
-scripts/bench_gate.sh build/bench/bench_engine bench/baseline_engine.json
-
-echo "== kernel microbench: SIMD tier identity + speedup gate =="
-# bench_kernels exits non-zero if any SIMD tier output differs from the
-# scalar reference; the JSON gate pins the byte-identity flags exactly and
-# the speedup/rate fields loosely (the committed baseline's dispatch tier is
-# stamped in its "meta" object).
-scripts/bench_gate.sh build/bench/bench_kernels bench/baseline_kernels.json
-
-echo "== kernels smoke: dispatch tier report + scalar identity check =="
-./build/examples/scg_cli kernels
-
-echo "== simulation bench: event-core invariants + lazy-routing gate =="
-# bench_mcmp re-simulates every workload and the lazy-vs-prerouted
-# acceptance run; completion cycles / hop and event counts / sim_identical
-# must match the committed baseline exactly, lazy_speedup and sim_rps only
-# loosely (machine speed).
-scripts/bench_gate.sh build/bench/bench_mcmp bench/baseline_sim.json
-
-echo "== fault bench: connectivity, routing and MCMP degradation gate =="
-# The mcmp_degradation rows pin the fault-mode event core (delivered,
-# timeouts, retransmissions, latency percentiles, event counts) exactly.
-scripts/bench_gate.sh build/bench/bench_fault bench/baseline_fault.json \
-  bench/baseline_fault.json
-
-echo "== chaos campaign: invariant-audited degradation gate =="
-# bench_chaos exits non-zero on any invariant violation or a transient
-# full-repair cell that misses the fault-free delivered fraction; the JSON
-# gate then pins the integer degradation surface (delivered / timeouts /
-# retransmissions / completion cycles per cell) to the committed baseline.
-scripts/bench_gate.sh build/bench/bench_chaos bench/baseline_chaos.json \
-  bench/baseline_chaos.json
-
-echo "== serve smoke: concurrent RouteService, verified words =="
-# Small family, 2 workers; serve-bench exits non-zero on a conservation or
-# word-identity violation.
-./build/examples/scg_cli serve-bench MS 2 2 2 500
-
-echo "== serving bench: SLO telemetry + shedding gate =="
-# conservation / words_ok / shed_nonzero must hold exactly, serve_rps only
-# loosely (machine speed).
-scripts/bench_gate.sh build/bench/bench_serve bench/baseline_serve.json
 
 echo "== repo benchmark: build scg_bench from source + smoke run =="
 # The tier-1 build never compiles benchmark/scg_bench.cpp, so this is the

@@ -64,28 +64,27 @@ void parallel_for_chunks_indexed(std::uint64_t n, Setup&& setup, Body&& body,
   pool->wait_idle();
 }
 
-/// Parallel reduction: applies `body(begin, end) -> T` over chunks and
-/// combines partial results with `combine`.  Deterministic iff `combine`
-/// is associative and commutative.
+/// Parallel reduction: applies `body(begin, end) -> T` to the chunks
+/// [c * grain, (c + 1) * grain) of [0, n) and folds the partials into
+/// `init` with `combine` in chunk order.  The chunks and the order do not
+/// depend on the pool (a 1-thread pool runs them inline), so the result is
+/// the same on every host, floating-point sums included.
 template <typename T, typename Body, typename Combine>
 T parallel_reduce(std::uint64_t n, T init, Body&& body, Combine&& combine,
                   std::uint64_t grain = 1 << 12, ThreadPool* pool = nullptr) {
-  if (n == 0) return init;
-  if (pool == nullptr) pool = &ThreadPool::global();
-  if (n <= grain || pool->size() <= 1) {
-    return combine(init, body(std::uint64_t{0}, n));
+  grain = std::max<std::uint64_t>(grain, 1);
+  const std::uint64_t chunks = (n + grain - 1) / grain;
+  if (pool == nullptr && chunks > 1) pool = &ThreadPool::global();
+  std::vector<T> partials(chunks, init);
+  const auto run = [grain, n, &partials, &body](std::size_t c) {
+    partials[c] = body(c * grain, std::min(n, (c + 1) * grain));
+  };
+  if (chunks <= 1 || pool->size() <= 1) {
+    for (std::size_t c = 0; c < chunks; ++c) run(c);
+  } else {
+    pool->submit_batch(chunks, run);
+    pool->wait_idle();
   }
-  const std::uint64_t chunks =
-      std::min<std::uint64_t>(pool->size() * 4, (n + grain - 1) / grain);
-  const std::uint64_t step = (n + chunks - 1) / chunks;
-  const std::uint64_t used = (n + step - 1) / step;
-  std::vector<T> partials(used, init);
-  pool->submit_batch(used, [step, n, &partials, &body](std::size_t c) {
-    const std::uint64_t lo = c * step;
-    const std::uint64_t hi = std::min(n, lo + step);
-    partials[c] = body(lo, hi);
-  });
-  pool->wait_idle();
   T acc = init;
   for (const T& p : partials) acc = combine(acc, p);
   return acc;

@@ -43,6 +43,18 @@ TEST(Sweeps, SampledIsBoundedByExhaustive) {
   EXPECT_NEAR(sampled.avg_steps, again.avg_steps, 1e-12);
 }
 
+TEST(Sweeps, SampledIsTheSameOnEveryPoolSize) {
+  // Each chunk seeds its RNG from its first index, so the sample set itself
+  // is only host-independent if the chunk bounds are.
+  const NetworkSpec net = make_macro_star(2, 3);
+  ThreadPool one(1), three(3);
+  const SolverSweep a = sweep_sampled(net, 500, 7, &one);
+  const SolverSweep b = sweep_sampled(net, 500, 7, &three);
+  EXPECT_EQ(a.max_steps, b.max_steps);
+  EXPECT_EQ(a.worst_rank, b.worst_rank);
+  EXPECT_EQ(a.avg_steps, b.avg_steps);
+}
+
 TEST(Sweeps, WorstCaseIsTheAlgorithmicDiameterBoundWitness) {
   // The sweep maximum is an upper bound on the exact diameter and a lower
   // bound on no theorem; verify the sandwich on a small instance.

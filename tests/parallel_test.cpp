@@ -216,6 +216,30 @@ TEST(ParallelReduce, MaxReduction) {
   EXPECT_EQ(mx, 2499);
 }
 
+TEST(ParallelReduce, DoubleSumIsTheSameOnEveryPoolSize) {
+  // Floating-point addition is not associative, so the sum is bit-identical
+  // across hosts only if neither the chunks nor their combine order depend
+  // on the pool size (a 1-thread pool runs the chunks inline).
+  const auto harmonic = [](ThreadPool& pool) {
+    return parallel_reduce<double>(
+        200'000, 0.0,
+        [](std::uint64_t lo, std::uint64_t hi) {
+          double s = 0.0;
+          for (std::uint64_t i = lo; i < hi; ++i) {
+            s += 1.0 / static_cast<double>(i + 1);
+          }
+          return s;
+        },
+        [](double a, double b) { return a + b; }, /*grain=*/1024, &pool);
+  };
+  ThreadPool one(1);
+  const double want = harmonic(one);
+  for (const std::size_t threads : {2, 3, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(harmonic(pool), want) << threads << " threads";
+  }
+}
+
 TEST(ParallelReduce, EmptyRangeReturnsInit) {
   const int v = parallel_reduce<int>(
       0, 42, [](std::uint64_t, std::uint64_t) { return 0; },

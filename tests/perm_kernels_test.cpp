@@ -389,7 +389,6 @@ TEST(TierIdentity, OracleTableAndHistogram) {
     simd = std::make_unique<DistanceOracle>(DistanceOracle::build(net));
   }
   EXPECT_EQ(scalar->histogram(), simd->histogram());
-  const Permutation id = Permutation::identity(net.k());
   for (std::uint64_t v = 0; v < net.num_nodes(); ++v) {
     ASSERT_EQ(scalar->exact_distance(v, 0), simd->exact_distance(v, 0)) << v;
   }
