@@ -128,7 +128,7 @@ class OffchipTable {
 /// the *_ns wall-clock splits are host measurements and must never be
 /// compared across runs as invariants.
 struct SimTelemetry {
-  std::uint64_t events_processed = 0;  ///< priority-queue pops
+  std::uint64_t events_processed = 0;  ///< event-queue pops
   std::uint64_t queue_peak = 0;        ///< event-queue high-water mark
   std::uint64_t routing_ns = 0;        ///< wall time spent routing packets
   std::uint64_t transit_ns = 0;        ///< wall time spent in the event loop
