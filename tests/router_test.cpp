@@ -2,10 +2,11 @@
 // and comparison with exact BFS distances for every network class.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <random>
 
 #include "analysis/formulas.hpp"
+#include "closed_forms.hpp"
+#include "networks/route_engine.hpp"
 #include "networks/router.hpp"
 #include "topology/metrics.hpp"
 
@@ -88,42 +89,68 @@ TEST(Router, RotatorRouterIsExactlyOptimal) {
   }
 }
 
-TEST(Router, BubbleSortDistanceEqualsInversions) {
-  const NetworkSpec net = make_bubble_sort_graph(6);
-  std::mt19937_64 rng(5);
-  std::uniform_int_distribution<std::uint64_t> pick(0, net.num_nodes() - 1);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Permutation u = Permutation::unrank(6, pick(rng));
-    int inversions = 0;
-    for (int i = 0; i < 6; ++i) {
-      for (int j = i + 1; j < 6; ++j) {
-        if (u[i] > u[j]) ++inversions;
-      }
+/// Sampled closed-form checks: 2,000 random permutations for every
+/// k = 5..20, far past what BFS or the oracle can enumerate.  `make(k)`
+/// builds the network and `check(net, u)` tests routing u to the identity.
+template <typename Make, typename Check>
+void for_sampled_permutations_to_k20(std::uint64_t seed, Make&& make,
+                                     Check&& check) {
+  std::mt19937_64 rng(seed);
+  for (int k = 5; k <= 20; ++k) {
+    const NetworkSpec net = make(k);
+    std::uniform_int_distribution<std::uint64_t> pick(0, factorial(k) - 1);
+    for (int trial = 0; trial < 2000; ++trial) {
+      check(net, Permutation::unrank(k, pick(rng)));
+      if (testing::Test::HasFailure()) return;
     }
-    EXPECT_EQ(route_length(net, u, Permutation::identity(6)), inversions);
   }
 }
 
+int length_to_identity(const NetworkSpec& net, const Permutation& u) {
+  return route_length(net, u, Permutation::identity(net.k()));
+}
+
+TEST(Router, BubbleSortDistanceEqualsInversions) {
+  for_sampled_permutations_to_k20(
+      5, make_bubble_sort_graph,
+      [](const NetworkSpec& net, const Permutation& u) {
+        ASSERT_EQ(length_to_identity(net, u), closed_form::inversions(u))
+            << net.name << " " << u.to_string();
+      });
+}
+
 TEST(Router, TranspositionNetworkDistanceEqualsKMinusCycles) {
-  const NetworkSpec net = make_transposition_network(6);
-  std::mt19937_64 rng(5);
-  std::uniform_int_distribution<std::uint64_t> pick(0, net.num_nodes() - 1);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Permutation u = Permutation::unrank(6, pick(rng));
-    // Count cycles (including fixed points) of the permutation.
-    int cycles = 0;
-    std::array<bool, 6> seen{};
-    for (int i = 0; i < 6; ++i) {
-      if (seen[static_cast<std::size_t>(i)]) continue;
-      ++cycles;
-      int j = i;
-      while (!seen[static_cast<std::size_t>(j)]) {
-        seen[static_cast<std::size_t>(j)] = true;
-        j = u[j] - 1;
-      }
-    }
-    EXPECT_EQ(route_length(net, u, Permutation::identity(6)), 6 - cycles);
-  }
+  for_sampled_permutations_to_k20(
+      6, make_transposition_network,
+      [](const NetworkSpec& net, const Permutation& u) {
+        ASSERT_EQ(length_to_identity(net, u),
+                  closed_form::transposition_distance(u))
+            << net.name << " " << u.to_string();
+      });
+}
+
+TEST(Router, StarRouteLengthEqualsAkersHarelKrishnamurthyToK20) {
+  for_sampled_permutations_to_k20(
+      7, make_star_graph, [](const NetworkSpec& net, const Permutation& u) {
+        ASSERT_EQ(length_to_identity(net, u), closed_form::star_distance(u))
+            << net.name << " " << u.to_string();
+      });
+}
+
+TEST(Router, MacroStarWithOneBallPerBoxIsBracketedByTheStarFormula) {
+  // MS(l,1)'s generators T_2, S_2..S_l are exactly the transpositions
+  // through position 2: it is the star graph on l+1 symbols centred at
+  // position 2, so the formula is its exact distance.  The box-by-box play
+  // is not optimal there; it must still stay within its own word bound.
+  for_sampled_permutations_to_k20(
+      8, [](int k) { return make_macro_star(k - 1, 1); },
+      [](const NetworkSpec& net, const Permutation& u) {
+        const int routed = length_to_identity(net, u);
+        ASSERT_GE(routed, closed_form::star_distance(u, 2))
+            << net.name << " " << u.to_string();
+        ASSERT_LE(routed, route_word_bound(net))
+            << net.name << " " << u.to_string();
+      });
 }
 
 TEST(Router, DirectedWordsUseOnlyForwardGenerators) {
