@@ -7,8 +7,8 @@
 #   2. ASan+UBSan build + the fast-labelled tests (large sweeps excluded —
 #      run `ctest --preset asan-fast` with no label filter to widen);
 #   3. standalone UBSan build of the kernel-heavy suites (permutation,
-#      SIMD perm kernels, route engine, oracle) and of the event-core and
-#      chaos suites, run directly;
+#      SIMD perm kernels, route engine, oracle), of the solver and router
+#      suites, and of the event-core and chaos suites, run directly;
 #   4. TSan build of the concurrency-heavy suites (ThreadPool, event-core
 #      lazy routing, chaos campaign), run directly;
 #   5. static analysis, when the tools are installed: a clang build with
@@ -41,14 +41,17 @@ echo "== sanitizers: standalone ubsan build, kernel-heavy suites =="
 # The SIMD kernels and their consumers lean on pointer casts, target-gated
 # intrinsics, and reciprocal arithmetic; run those suites under pure UBSan
 # (no ASan redzones, so the vector loads/stores run at full width).  The
-# event-core and chaos suites drive the calendar event queue's slot masks
-# and packet-index lists.
+# solver and router suites drive SolverContext's fixed-size state arrays
+# and its word path on every family.  The event-core and chaos suites drive
+# the calendar event queue's slot masks and packet-index lists.
 cmake --preset ubsan
 cmake --build --preset ubsan -j"$(nproc)"
 ./build-ubsan/tests/permutation_test
 ./build-ubsan/tests/perm_kernels_test
 ./build-ubsan/tests/route_engine_test
 ./build-ubsan/tests/oracle_test
+./build-ubsan/tests/solver_test
+./build-ubsan/tests/router_test
 ./build-ubsan/tests/event_core_test
 ./build-ubsan/tests/chaos_test
 

@@ -38,7 +38,7 @@ OptimalityAudit audit_route_optimality(const NetworkSpec& net,
                                        const DistanceOracle& oracle,
                                        ThreadPool* pool) {
   // Routing u -> identity sorts W = identity^{-1}∘u = u itself, so the
-  // sweep feeds ranks straight into the counting kernel.  Every source has a
+  // sweep feeds ranks straight into route_length_rel.  Every source has a
   // distinct W, so the route cache can never hit — disable it.
   const RouteEngine engine(net, RouteEngineConfig{.cache_capacity = 0});
   const Partial total = parallel_reduce<Partial>(
@@ -46,8 +46,8 @@ OptimalityAudit audit_route_optimality(const NetworkSpec& net,
       [&](std::uint64_t lo, std::uint64_t hi) {
         Partial p;
         // The sweep visits every rank in order, so sources unrank through
-        // the batch unrank kernel a block at a time; the counting kernel then
-        // consumes each state exactly as the scalar loop did.
+        // the batch unrank kernel a block at a time; route_length_rel then
+        // routes each state exactly as the scalar loop did.
         constexpr std::size_t kBlock = 256;
         PermBlock block;
         std::vector<std::uint64_t> ranks(kBlock);

@@ -191,8 +191,8 @@ RouteOutcome FaultRouter::route(const Permutation& from, const Permutation& to,
       const std::uint64_t v = buf[gi];
       if (faults.blocks(cur_rank, v) || on_path.count(v)) continue;
       const Generator& g = net_->generators[static_cast<std::size_t>(gi)];
-      // Counting kernel: no allocation, and no clobbering of `pending`'s
-      // backing buffer.
+      // route_length solves into its own per-thread buffer, so `pending`'s
+      // backing buffer (scratch()) survives.
       const int len = engine_.route_length(g.applied(cur), to);
       if (len < best_len) {
         best_len = len;

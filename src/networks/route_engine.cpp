@@ -1,7 +1,9 @@
 #include "networks/route_engine.hpp"
 
 #include <algorithm>
+#include <list>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "core/thread_annotations.hpp"
@@ -26,13 +28,13 @@ int box_fetch_worst(int l, BoxMoveStyle style) {
   return 1;
 }
 
-// Baseline Cayley routers, shared by the word-producing and counting paths
-// through one emit callback so the two can never disagree.
+// Baseline Cayley routers: each clears `out`, appends its word and returns
+// the word length.
 
 /// Bubble-sort graph: sort by adjacent exchanges; exactly inversions(w)
 /// moves, which is the graph distance.
-template <typename Emit>
-void bubble_sort_route(Permutation w, Emit&& emit) {
+int bubble_sort_route(Permutation w, std::vector<Generator>& out) {
+  out.clear();
   const int k = w.size();
   bool changed = true;
   while (changed) {
@@ -41,31 +43,33 @@ void bubble_sort_route(Permutation w, Emit&& emit) {
       if (w[i] > w[i + 1]) {
         const Generator g = exchange(i + 1, i + 2);
         g.apply(w);
-        emit(g);
+        out.push_back(g);
         changed = true;
       }
     }
   }
+  return static_cast<int>(out.size());
 }
 
 /// Complete transposition network: cycle-by-cycle placement; exactly
 /// k - #cycles moves, which is the graph distance.
-template <typename Emit>
-void transposition_network_route(Permutation w, Emit&& emit) {
+int transposition_network_route(Permutation w, std::vector<Generator>& out) {
+  out.clear();
   const int k = w.size();
   for (int p = 1; p <= k; ++p) {
     while (w[p - 1] != p) {
       const Generator g = exchange(p, w[p - 1]);
       g.apply(w);
-      emit(g);
+      out.push_back(g);
     }
   }
+  return static_cast<int>(out.size());
 }
 
 /// Greedy pancake router: bring the largest misplaced element to the front,
 /// flip it home; at most 2(k-1) flips.
-template <typename Emit>
-void pancake_route(Permutation w, Emit&& emit) {
+int pancake_route(Permutation w, std::vector<Generator>& out) {
+  out.clear();
   const int k = w.size();
   for (int target = k; target >= 2; --target) {
     if (w[target - 1] == target) continue;
@@ -73,12 +77,13 @@ void pancake_route(Permutation w, Emit&& emit) {
     if (pos != 0) {
       const Generator up = reversal(pos + 1);
       up.apply(w);
-      emit(up);
+      out.push_back(up);
     }
     const Generator down = reversal(target);
     down.apply(w);
-    emit(down);
+    out.push_back(down);
   }
+  return static_cast<int>(out.size());
 }
 
 /// Recursive macro-star: solve the outer game into `scratch` (kSwap uses a
@@ -217,18 +222,11 @@ int route_word_into(const NetworkSpec& net, const Permutation& w,
     case Family::kRotator:
       return solve_one_box_insertion_into(w, out, scratch);
     case Family::kBubbleSort:
-      out.clear();
-      bubble_sort_route(w, [&out](const Generator& g) { out.push_back(g); });
-      return static_cast<int>(out.size());
+      return bubble_sort_route(w, out);
     case Family::kTranspositionNetwork:
-      out.clear();
-      transposition_network_route(
-          w, [&out](const Generator& g) { out.push_back(g); });
-      return static_cast<int>(out.size());
+      return transposition_network_route(w, out);
     case Family::kPancake:
-      out.clear();
-      pancake_route(w, [&out](const Generator& g) { out.push_back(g); });
-      return static_cast<int>(out.size());
+      return pancake_route(w, out);
     case Family::kPartialRotationStar:
       return solve_transposition_game_custom_rotations_into(
           w, net.l, net.n, net.rotations, out, scratch);
@@ -239,76 +237,6 @@ int route_word_into(const NetworkSpec& net, const Permutation& w,
       return rms_route_into(net, w, out, scratch, rms_expand);
   }
   throw std::logic_error("route_word_into: unknown family");
-}
-
-int route_word_count(const NetworkSpec& net, const Permutation& w,
-                     std::span<const int> rms_expand_len) {
-  switch (net.family) {
-    case Family::kMacroStar:
-    case Family::kStar:
-      return count_transposition_game(w, net.l, net.n, BoxMoveStyle::kSwap);
-    case Family::kRotationStar:
-      return count_transposition_game(w, net.l, net.n,
-                                      BoxMoveStyle::kBidirectionalRotation);
-    case Family::kCompleteRotationStar:
-      return count_transposition_game(w, net.l, net.n,
-                                      BoxMoveStyle::kCompleteRotation);
-    case Family::kMacroRotator:
-    case Family::kMacroIS:
-      return count_insertion_game(w, net.l, net.n, BoxMoveStyle::kSwap);
-    case Family::kRotationRotator:
-      return count_insertion_game(w, net.l, net.n,
-                                  BoxMoveStyle::kForwardRotation);
-    case Family::kRotationIS:
-      return count_insertion_game(w, net.l, net.n,
-                                  BoxMoveStyle::kBidirectionalRotation);
-    case Family::kCompleteRotationRotator:
-    case Family::kCompleteRotationIS:
-      return count_insertion_game(w, net.l, net.n,
-                                  BoxMoveStyle::kCompleteRotation);
-    case Family::kInsertionSelection:
-    case Family::kRotator:
-      return count_one_box_insertion(w);
-    case Family::kBubbleSort: {
-      int c = 0;
-      bubble_sort_route(w, [&c](const Generator&) { ++c; });
-      return c;
-    }
-    case Family::kTranspositionNetwork: {
-      int c = 0;
-      transposition_network_route(w, [&c](const Generator&) { ++c; });
-      return c;
-    }
-    case Family::kPancake: {
-      int c = 0;
-      pancake_route(w, [&c](const Generator&) { ++c; });
-      return c;
-    }
-    case Family::kPartialRotationStar:
-      return count_transposition_game_custom_rotations(w, net.l, net.n,
-                                                       net.rotations);
-    case Family::kPartialRotationIS:
-      return count_insertion_game_custom_rotations(w, net.l, net.n,
-                                                   net.rotations);
-    case Family::kRecursiveMacroStar: {
-      if (!rms_expand_len.empty()) {
-        return count_transposition_game_weighted(
-            w, net.l, net.n, BoxMoveStyle::kSwap, rms_expand_len);
-      }
-      int lens[kMaxSymbols + 2] = {};
-      const int inner_k = net.n + 1;
-      for (int i = 2; i <= net.n + 1; ++i) {
-        const Permutation t =
-            transposition(i).applied(Permutation::identity(inner_k));
-        lens[i] = count_transposition_game(t, net.l1, net.n1,
-                                           BoxMoveStyle::kSwap);
-      }
-      return count_transposition_game_weighted(
-          w, net.l, net.n, BoxMoveStyle::kSwap,
-          std::span<const int>(lens, static_cast<std::size_t>(net.n + 2)));
-    }
-  }
-  throw std::logic_error("route_word_count: unknown family");
 }
 
 // ---------------------------------------------------------------------------
@@ -381,10 +309,6 @@ RouteEngine::RouteEngine(const NetworkSpec& net, RouteEngineConfig cfg)
   }
   if (net.family == Family::kRecursiveMacroStar) {
     rms_expand_ = rms_expansions(net);
-    rms_expand_len_.reserve(rms_expand_.size());
-    for (const std::vector<Generator>& word : rms_expand_) {
-      rms_expand_len_.push_back(static_cast<int>(word.size()));
-    }
   }
   if (cfg_.cache_capacity > 0) {
     std::size_t pow2 = 1;
@@ -470,19 +394,9 @@ std::span<const Generator> RouteEngine::route_into(const Permutation& from,
 }
 
 int RouteEngine::route_length_rel(const Permutation& w) const {
-  if (shards_ != nullptr) {
-    const std::uint64_t key = w.rank();
-    CacheShard& sh = *shard_for(key);
-    MutexLock lk(sh.mu);
-    const auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-      ++sh.hits;
-      return static_cast<int>(it->second->second.size());
-    }
-    ++sh.misses;
-  }
-  return route_word_count(*net_, w, rms_expand_len_);
+  // Not scratch(): FaultRouter::route holds a span into it while it asks.
+  thread_local RouteBuffer buf;
+  return static_cast<int>(route_rel_into(w, buf).size());
 }
 
 int RouteEngine::route_length(const Permutation& from,
@@ -494,13 +408,9 @@ int RouteEngine::route_length(const Permutation& from,
 }
 
 RouteBuffer& RouteEngine::scratch() const {
-  thread_local std::unordered_map<const RouteEngine*,
-                                  std::unique_ptr<RouteBuffer>>
-      buffers;
-  std::unique_ptr<RouteBuffer>& slot = buffers[this];
-  if (!slot) slot = std::make_unique<RouteBuffer>();
-  slot->reserve(static_cast<std::size_t>(bound_));
-  return *slot;
+  thread_local RouteBuffer buf;
+  buf.reserve(static_cast<std::size_t>(bound_));
+  return buf;
 }
 
 void RouteEngine::route_batch(std::span<const std::uint64_t> src,

@@ -1,14 +1,15 @@
 // Zero-allocation batch routing engine.
 //
 // The scalar route() in networks/router.hpp allocates a fresh word vector
-// (and, inside the solvers, offset-search scratch) on every call.  That is
-// fine for one-off queries but dominates the cost of all-pairs sweeps,
-// traffic generation and fault-repair probing.  This engine provides:
+// on every call.  That is fine for one-off queries but dominates the cost
+// of all-pairs sweeps, traffic generation and fault-repair probing.  This
+// engine provides:
 //
-//  * Allocation-free kernels: `route_into` / `route_rel_into` write the
+//  * One allocation-free kernel: `route_into` / `route_rel_into` write the
 //    generator word into a caller-provided RouteBuffer whose capacity is
-//    reserved once from the family's word bound, and `route_length` walks
-//    the same play through a counting sink without materialising anything.
+//    reserved once from the family's word bound.  `route_length` is the size
+//    of the word route_rel_into writes into a per-thread buffer of its own,
+//    so it shares the cache below.
 //  * Batch solving: `route_batch` takes parallel src/dst rank arrays
 //    (structure-of-arrays) and fans fixed-size chunks across the ThreadPool;
 //    each chunk owns a reusable arena (concatenated words + offsets), so a
@@ -23,16 +24,14 @@
 //    it once in the constructor.
 //
 // Thread-safety: all routing entry points are const and safe to call
-// concurrently (the cache uses per-shard locks; per-thread scratch comes
-// from `scratch()`).
+// concurrently (the cache uses per-shard locks; per-thread buffers come
+// from `scratch()` and from route_length's own).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/perm_kernels.hpp"
@@ -57,23 +56,17 @@ int route_word_bound(const NetworkSpec& net);
 /// T_i.  T_i is an involution, so the word is state-independent.
 std::vector<std::vector<Generator>> rms_expansions(const NetworkSpec& net);
 
-/// Scalar kernel behind route(): clears `out` and appends the word sorting
-/// the relative permutation `w` to the identity, using `scratch` for the
-/// solvers' offset search.  `rms_expand` supplies a precomputed expansion
-/// table for recursive macro-stars (pass nullptr to derive it per call, as
-/// the legacy router did).  Returns the word length.
+/// The routing kernel behind route(), route_length() and the engine, and
+/// the one place that picks each family's solver: clears `out` and appends
+/// the word sorting the relative permutation `w` to the identity, using
+/// `scratch` for the solvers' offset search.  `rms_expand` supplies a
+/// precomputed expansion table for recursive macro-stars (pass nullptr to
+/// derive it per call).  Returns the word length.
 int route_word_into(const NetworkSpec& net, const Permutation& w,
                     std::vector<Generator>& out,
                     std::vector<Generator>& scratch,
                     const std::vector<std::vector<Generator>>* rms_expand =
                         nullptr);
-
-/// Counting twin of route_word_into: the length of exactly the word it
-/// would emit, with zero heap allocation.  `rms_expand_len` supplies the
-/// expansion *lengths* (indexed by the outer T_i subscript) for recursive
-/// macro-stars; pass empty to derive them per call.
-int route_word_count(const NetworkSpec& net, const Permutation& w,
-                     std::span<const int> rms_expand_len = {});
 
 // ---------------------------------------------------------------------------
 // RouteBuffer — caller-owned solver arena.
@@ -198,16 +191,20 @@ class RouteEngine {
                                              std::uint64_t key,
                                              RouteBuffer& buf) const;
 
-  /// Hop count of the word route_into would produce; zero allocation.  On a
-  /// cache hit returns the cached length; on a miss runs the counting kernel
-  /// (without inserting — no word is materialised to cache).
+  /// Hop count of the word route_into produces: the size of the word
+  /// route_rel_into writes into a per-thread buffer that is not scratch(),
+  /// so a caller may hold a span into scratch() while it asks.  A hit reads
+  /// the cached word; a miss solves and inserts it, as route_into does.
   int route_length(const Permutation& from, const Permutation& to) const;
   int route_length_rel(const Permutation& w) const;
 
-  /// A per-(thread, engine) RouteBuffer, already reserved to word_bound().
-  /// Convenient for call sites without a natural buffer home; the span
-  /// returned by route_into(.., scratch()) is invalidated by the next
-  /// scratch()-based call on the same thread.
+  /// The calling thread's scratch RouteBuffer, one per thread and shared by
+  /// every engine, reserved to this engine's word_bound() on each call.
+  /// For call sites without a natural buffer home.  The span returned by
+  /// route_into(.., scratch()) is invalidated by the next scratch()-based
+  /// call on the same thread, through any engine.  Its callers,
+  /// GamePolicy::route_path and FaultRouter::route, never hold a span from
+  /// one engine's scratch() while routing with another.
   RouteBuffer& scratch() const;
 
   /// Routes every (src[i], dst[i]) rank pair, filling `out` (structure of
@@ -267,7 +264,6 @@ class RouteEngine {
 
   /// Recursive macro-star expansion table (empty for other families).
   std::vector<std::vector<Generator>> rms_expand_;
-  std::vector<int> rms_expand_len_;
 
   std::size_t shard_mask_ = 0;
   std::size_t per_shard_capacity_ = 0;

@@ -26,7 +26,11 @@ int route_length(const NetworkSpec& net, const Permutation& from,
   if (from.size() != net.k() || to.size() != net.k()) {
     throw std::invalid_argument("route_length: permutation size != k");
   }
-  return route_word_count(net, from.relabel_symbols(to.inverse()));
+  // The length is the routed word's size, solved into a per-thread buffer
+  // whose capacity survives across calls.
+  thread_local RouteBuffer buf;
+  return route_word_into(net, from.relabel_symbols(to.inverse()), buf.word,
+                         buf.scratch);
 }
 
 GameTrace route_trace(const NetworkSpec& net, const Permutation& from,
