@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "analysis/formulas.hpp"
 #include "networks/router.hpp"
@@ -59,6 +61,26 @@ TEST(PartialRotationStar, NonGeneratingSetIsRejectedAtRouting) {
   EXPECT_THROW(
       route(net, Permutation::parse("7123456"), Permutation::identity(7)),
       std::invalid_argument);
+}
+
+TEST(PartialRotationStar, RepeatedRotationAmountsRouteLikeTheSet) {
+  // A rotation list longer than the solver's fixed arrays, by repetition,
+  // plays over the same set: every word equals the set's.
+  std::vector<int> repeated(3 * kMaxSymbols, 1);
+  repeated.push_back(2);
+  const Permutation target = Permutation::identity(7);
+  std::mt19937_64 rng(11);
+  for (const auto& [net, set] :
+       {std::pair{make_partial_rotation_star(3, 2, repeated),
+                  make_partial_rotation_star(3, 2, {1, 2})},
+        std::pair{make_partial_rotation_is(3, 2, repeated),
+                  make_partial_rotation_is(3, 2, {1, 2})}}) {
+    std::uniform_int_distribution<std::uint64_t> pick(0, net.num_nodes() - 1);
+    for (int trial = 0; trial < 50; ++trial) {
+      const Permutation u = Permutation::unrank(7, pick(rng));
+      ASSERT_EQ(route(net, u, target), route(set, u, target)) << net.name;
+    }
+  }
 }
 
 TEST(PartialRotationStar, ConnectivityAndSymmetry) {

@@ -229,5 +229,33 @@ TEST(Solvers, RotatedStateSolvedByRotationsAlone) {
   EXPECT_TRUE(apply_word(s, word).is_identity());
 }
 
+TEST(Solvers, RejectBoxGeometryThatDoesNotMatchTheStart) {
+  // n = 0 would let l outgrow the solver's fixed per-box arrays.
+  EXPECT_THROW(solve_transposition_game(Permutation::identity(1), 25, 0,
+                                        BoxMoveStyle::kSwap),
+               std::invalid_argument);
+  EXPECT_THROW(solve_insertion_game(Permutation::identity(1), 1, 0,
+                                    BoxMoveStyle::kSwap),
+               std::invalid_argument);
+  EXPECT_THROW(solve_transposition_game(Permutation::identity(7), 2, 2,
+                                        BoxMoveStyle::kSwap),
+               std::invalid_argument);
+}
+
+TEST(Solvers, CustomRotationsRejectAmountsOutsideOneToLMinusOne) {
+  const Permutation start = Permutation::parse("7123456");  // l = 3, n = 2
+  std::vector<Generator> out;
+  std::vector<Generator> scratch;
+  for (const std::vector<int>& bad :
+       {std::vector<int>{-1}, std::vector<int>{0, 1}, std::vector<int>{1, 3}}) {
+    EXPECT_THROW(solve_transposition_game_custom_rotations_into(
+                     start, 3, 2, bad, out, scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(solve_insertion_game_custom_rotations_into(start, 3, 2, bad,
+                                                            out, scratch),
+                 std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace scg
