@@ -9,8 +9,9 @@
 #   3. standalone UBSan build of the kernel-heavy suites (permutation,
 #      SIMD perm kernels, route engine, oracle), of the solver and router
 #      suites, and of the event-core and chaos suites, run directly;
-#   4. TSan build of the concurrency-heavy suites (ThreadPool, event-core
-#      lazy routing, chaos campaign), run directly;
+#   4. TSan build of the concurrency-heavy suites (ThreadPool and its
+#      consumers: batch routing, parallel reductions, the oracle build,
+#      event-core lazy routing, chaos campaign, serving), run directly;
 #   5. static analysis, when the tools are installed: a clang build with
 #      -Werror=thread-safety (plus the negative-compilation tests proving
 #      the annotations bite), the clang-tidy gate, and shellcheck over
@@ -56,12 +57,17 @@ cmake --build --preset ubsan -j"$(nproc)"
 ./build-ubsan/tests/chaos_test
 
 echo "== sanitizers: tsan build, concurrency suites =="
-# ThreadPool, the event core's lazy routing, the chaos campaign, and the
-# serving layer are the threaded / observer-callback-heavy surfaces; run
-# their suites under TSan.
+# ThreadPool, its consumers (route_batch on a four-thread pool,
+# parallel_reduce on pools of 1 and 3, the frontier-parallel oracle build),
+# the event core's lazy routing, the chaos campaign, and the serving layer
+# are the threaded / observer-callback-heavy surfaces; run their suites
+# under TSan.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ./build-tsan/tests/parallel_test
+./build-tsan/tests/route_engine_test
+./build-tsan/tests/analysis_test
+./build-tsan/tests/oracle_test
 ./build-tsan/tests/event_core_test
 ./build-tsan/tests/chaos_test
 ./build-tsan/tests/serve_test

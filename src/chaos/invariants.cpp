@@ -86,15 +86,6 @@ std::string arc_str(std::uint64_t u, std::uint64_t v) {
 
 }  // namespace
 
-std::vector<TrafficPair> endpoints_of(std::span<const SimPacket> packets) {
-  std::vector<TrafficPair> pairs;
-  pairs.reserve(packets.size());
-  for (const SimPacket& p : packets) {
-    pairs.push_back({p.src, p.dst, p.inject_time});
-  }
-  return pairs;
-}
-
 InvariantReport check_sim_invariants(const Graph& g, const OffchipTable& offchip,
                                      std::span<const TrafficPair> pairs,
                                      const EventSimConfig& cfg,

@@ -144,8 +144,4 @@ InvariantReport check_sim_invariants(const Graph& g, const OffchipTable& offchip
                                      const SimTraceRecorder& trace,
                                      bool complete_rerouter = true);
 
-/// Endpoint projection of pre-routed packets, for auditing runs fed with
-/// SimPacket lists.
-std::vector<TrafficPair> endpoints_of(std::span<const SimPacket> packets);
-
 }  // namespace scg

@@ -17,9 +17,6 @@
 //    members live in small member functions annotated `SCG_REQUIRES(mu_)`
 //    (lambda bodies are analysed without the caller's lock context, so
 //    inline predicate lambdas would defeat the analysis).
-//  * Conditional acquisition uses `Mutex::try_lock()` (annotated
-//    `SCG_TRY_ACQUIRE(true)`) with explicit `unlock()` — the analysis
-//    understands the branch-on-success pattern.
 //
 // Under GCC (or any compiler without the capability attribute) every macro
 // expands to nothing and the shims compile down to the std primitives they
@@ -51,9 +48,6 @@
 #define SCG_ACQUIRE(...) SCG_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 /// Function releases the capability.
 #define SCG_RELEASE(...) SCG_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-/// Function acquires iff it returns the given value.
-#define SCG_TRY_ACQUIRE(...) \
-  SCG_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 /// Caller must hold the named mutex(es) to call this function.
 #define SCG_REQUIRES(...) \
   SCG_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
@@ -82,7 +76,6 @@ class SCG_CAPABILITY("mutex") Mutex {
 
   void lock() SCG_ACQUIRE() { mu_.lock(); }
   void unlock() SCG_RELEASE() { mu_.unlock(); }
-  bool try_lock() SCG_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   std::mutex& native() { return mu_; }
 

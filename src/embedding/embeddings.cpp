@@ -177,10 +177,6 @@ std::uint64_t undirected_congestion(const GeneratorEmbedding& e) {
   return worst;
 }
 
-std::uint64_t emulation_slowdown(const GeneratorEmbedding& e) {
-  return static_cast<std::uint64_t>(e.dilation()) * directed_congestion(e);
-}
-
 std::vector<std::uint64_t> rotation_ring_through(const NetworkSpec& net,
                                                  const Permutation& start) {
   const Generator r1 = rotation(1, net.n);

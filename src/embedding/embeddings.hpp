@@ -67,11 +67,6 @@ std::uint64_t directed_congestion(const GeneratorEmbedding& e);
 /// counted per undirected host link.  star -> IS achieves 1 here.
 std::uint64_t undirected_congestion(const GeneratorEmbedding& e);
 
-/// Emulation slowdown implied by an embedding under the all-port model:
-/// dilation * congestion (an upper bound on the step-for-step cost of
-/// running any guest algorithm on the host).
-std::uint64_t emulation_slowdown(const GeneratorEmbedding& e);
-
 /// The l-node ring each node lies on when only rotation super links are
 /// kept (Section 3.3.4: rotation networks decompose into k!/l disjoint
 /// l-rings).  Returns the ranks of the cycle through `start`.

@@ -88,22 +88,16 @@ int pancake_route(Permutation w, std::vector<Generator>& out) {
 
 /// Recursive macro-star: solve the outer game into `scratch` (kSwap uses a
 /// single offset, so `out` is free to lend as the solver's scratch slot),
-/// then expand every outer T_i through the expansion table into `out`.
+/// then expand every outer T_i into its nucleus word in `out`.
 int rms_route_into(const NetworkSpec& net, const Permutation& w,
-                   std::vector<Generator>& out, std::vector<Generator>& scratch,
-                   const std::vector<std::vector<Generator>>* expand) {
-  std::vector<std::vector<Generator>> local;
-  if (expand == nullptr) {
-    local = rms_expansions(net);
-    expand = &local;
-  }
+                   std::vector<Generator>& out, std::vector<Generator>& scratch) {
   solve_transposition_game_into(w, net.l, net.n, BoxMoveStyle::kSwap, scratch,
                                 out);
   out.clear();
   for (const Generator& g : scratch) {
     if (g.kind == GenKind::kTransposition) {
       const std::vector<Generator>& word =
-          (*expand)[static_cast<std::size_t>(g.i)];
+          net.nucleus_words[static_cast<std::size_t>(g.i - 2)];
       out.insert(out.end(), word.begin(), word.end());
     } else {
       out.push_back(g);
@@ -173,26 +167,9 @@ int route_word_bound(const NetworkSpec& net) {
   throw std::logic_error("route_word_bound: unknown family");
 }
 
-std::vector<std::vector<Generator>> rms_expansions(const NetworkSpec& net) {
-  if (net.family != Family::kRecursiveMacroStar) {
-    throw std::invalid_argument("rms_expansions: not a recursive macro-star");
-  }
-  const int inner_k = net.n + 1;
-  std::vector<std::vector<Generator>> expand(
-      static_cast<std::size_t>(net.n + 2));
-  for (int i = 2; i <= net.n + 1; ++i) {
-    const Permutation t =
-        transposition(i).applied(Permutation::identity(inner_k));
-    expand[static_cast<std::size_t>(i)] =
-        solve_transposition_game(t, net.l1, net.n1, BoxMoveStyle::kSwap);
-  }
-  return expand;
-}
-
 int route_word_into(const NetworkSpec& net, const Permutation& w,
                     std::vector<Generator>& out,
-                    std::vector<Generator>& scratch,
-                    const std::vector<std::vector<Generator>>* rms_expand) {
+                    std::vector<Generator>& scratch) {
   switch (net.family) {
     case Family::kMacroStar:
     case Family::kStar:
@@ -234,7 +211,7 @@ int route_word_into(const NetworkSpec& net, const Permutation& w,
       return solve_insertion_game_custom_rotations_into(
           w, net.l, net.n, net.rotations, out, scratch);
     case Family::kRecursiveMacroStar:
-      return rms_route_into(net, w, out, scratch, rms_expand);
+      return rms_route_into(net, w, out, scratch);
   }
   throw std::logic_error("route_word_into: unknown family");
 }
@@ -307,9 +284,6 @@ RouteEngine::RouteEngine(const NetworkSpec& net, RouteEngineConfig cfg)
     }
     compiled_.push_back(cg);
   }
-  if (net.family == Family::kRecursiveMacroStar) {
-    rms_expand_ = rms_expansions(net);
-  }
   if (cfg_.cache_capacity > 0) {
     std::size_t pow2 = 1;
     while (pow2 < static_cast<std::size_t>(std::max(1, cfg_.cache_shards))) {
@@ -334,12 +308,6 @@ RouteEngine::CacheShard* RouteEngine::shard_for(std::uint64_t key) const {
   return &shards_[(h >> 32) & shard_mask_];
 }
 
-int RouteEngine::solve_rel(const Permutation& w, std::vector<Generator>& out,
-                           std::vector<Generator>& scratch) const {
-  return route_word_into(*net_, w, out, scratch,
-                         rms_expand_.empty() ? nullptr : &rms_expand_);
-}
-
 std::span<const Generator> RouteEngine::route_rel_into(const Permutation& w,
                                                        RouteBuffer& buf) const {
   return route_rel_keyed(w, shards_ != nullptr ? w.rank() : 0, buf);
@@ -350,7 +318,7 @@ std::span<const Generator> RouteEngine::route_rel_keyed(const Permutation& w,
                                                         RouteBuffer& buf) const {
   buf.reserve(static_cast<std::size_t>(bound_));
   if (shards_ == nullptr) {
-    solve_rel(w, buf.word, buf.scratch);
+    route_word_into(*net_, w, buf.word, buf.scratch);
     return {buf.word.data(), buf.word.size()};
   }
   CacheShard& sh = *shard_for(key);
@@ -367,7 +335,7 @@ std::span<const Generator> RouteEngine::route_rel_keyed(const Permutation& w,
   }
   // Solve outside the lock; a racing thread may insert the same key first,
   // in which case we keep its (identical) entry.
-  solve_rel(w, buf.word, buf.scratch);
+  route_word_into(*net_, w, buf.word, buf.scratch);
   {
     MutexLock lk(sh.mu);
     if (sh.map.find(key) == sh.map.end()) {

@@ -19,9 +19,6 @@
 //    word is a pure function of W (route() literally solves W), so one cache
 //    entry serves every (U,V) pair with the same relative displacement —
 //    all-to-all traffic on an N-node network hits after only N-1 solves.
-//  * Precomputed recursive-macro-star nucleus expansions: the scalar router
-//    re-derives the T_i -> inner-word table on every call; the engine builds
-//    it once in the constructor.
 //
 // Thread-safety: all routing entry points are const and safe to call
 // concurrently (the cache uses per-shard locks; per-thread buffers come
@@ -51,22 +48,13 @@ namespace scg {
 /// contract.
 int route_word_bound(const NetworkSpec& net);
 
-/// The recursive-macro-star nucleus expansion table: expand[i] (i in
-/// 2..n+1) is the inner-MS(l1,n1) word realising the outer transposition
-/// T_i.  T_i is an involution, so the word is state-independent.
-std::vector<std::vector<Generator>> rms_expansions(const NetworkSpec& net);
-
 /// The routing kernel behind route(), route_length() and the engine, and
 /// the one place that picks each family's solver: clears `out` and appends
 /// the word sorting the relative permutation `w` to the identity, using
-/// `scratch` for the solvers' offset search.  `rms_expand` supplies a
-/// precomputed expansion table for recursive macro-stars (pass nullptr to
-/// derive it per call).  Returns the word length.
+/// `scratch` for the solvers' offset search.  Returns the word length.
 int route_word_into(const NetworkSpec& net, const Permutation& w,
                     std::vector<Generator>& out,
-                    std::vector<Generator>& scratch,
-                    const std::vector<std::vector<Generator>>* rms_expand =
-                        nullptr);
+                    std::vector<Generator>& scratch);
 
 // ---------------------------------------------------------------------------
 // RouteBuffer — caller-owned solver arena.
@@ -242,8 +230,6 @@ class RouteEngine {
  private:
   struct CacheShard;
 
-  int solve_rel(const Permutation& w, std::vector<Generator>& out,
-                std::vector<Generator>& scratch) const;
   CacheShard* shard_for(std::uint64_t key) const;
 
   const NetworkSpec* net_;
@@ -261,9 +247,6 @@ class RouteEngine {
   std::vector<CompiledGen> compiled_;
   /// (kind, i, n) -> index into compiled_, -1 if not a generator of net_.
   std::vector<std::int16_t> gen_index_;
-
-  /// Recursive macro-star expansion table (empty for other families).
-  std::vector<std::vector<Generator>> rms_expand_;
 
   std::size_t shard_mask_ = 0;
   std::size_t per_shard_capacity_ = 0;

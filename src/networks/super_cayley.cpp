@@ -310,6 +310,11 @@ NetworkSpec make_recursive_macro_star(int l, int l1, int n1) {
                              "," + std::to_string(n1) + ")");
   s.l1 = l1;
   s.n1 = n1;
+  const Permutation nucleus = Permutation::identity(n + 1);
+  for (int i = 2; i <= n + 1; ++i) {
+    s.nucleus_words.push_back(solve_transposition_game(
+        transposition(i).applied(nucleus), l1, n1, BoxMoveStyle::kSwap));
+  }
   return s;
 }
 

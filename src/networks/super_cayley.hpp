@@ -49,6 +49,9 @@ struct NetworkSpec {
   std::vector<int> rotations;  ///< partial-rotation families: the subset used
   int l1 = 0;  ///< recursive families: inner boxes (0 = not recursive)
   int n1 = 0;  ///< recursive families: inner balls per box
+  /// Recursive families: nucleus_words[i - 2] is the inner MS(l1,n1) word
+  /// realising the outer transposition T_i, for i in 2..n+1.
+  std::vector<std::vector<Generator>> nucleus_words;
 
   int k() const { return n * l + 1; }
   std::uint64_t num_nodes() const { return factorial(k()); }
@@ -111,7 +114,7 @@ NetworkSpec make_partial_rotation_is(int l, int n,
 /// (n+1)-star nuclei are replaced by MS(l1, n1) networks.  Degree
 /// n1 + l1 - 1 + l - 1 < n + l - 1.  Routing expands each outer T_i into a
 /// fixed inner-generator word (T_i is an involution, so the word is
-/// state-independent).
+/// state-independent); the n words are solved here, into nucleus_words.
 NetworkSpec make_recursive_macro_star(int l, int l1, int n1);
 
 /// All ten families of Section 3 instantiated at (l,n) — convenience for

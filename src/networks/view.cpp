@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/perm_kernels.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace scg {
 
@@ -64,26 +63,6 @@ NetworkView NetworkView::of(const Graph& g) {
     d = std::max(d, g.out_degree(u));
   }
   v.degree_ = static_cast<int>(d);
-  return v;
-}
-
-NetworkView NetworkView::cached(const NetworkSpec& net,
-                                std::size_t budget_bytes) {
-  NetworkView v = compile(net, /*reverse=*/false);
-  const std::uint64_t n = v.num_nodes_;
-  if (n > UINT32_MAX) return v;  // node ids would not fit the table
-  const std::uint64_t entries = n * static_cast<std::uint64_t>(v.degree_);
-  if (entries * sizeof(std::uint32_t) > budget_bytes) return v;
-  v.cache_.resize(entries);
-  parallel_for_chunks(n, [&](std::uint64_t lo, std::uint64_t hi) {
-    std::array<std::uint64_t, kMaxCompiledDegree> buf;
-    for (std::uint64_t u = lo; u < hi; ++u) {
-      const int d = v.expand_compiled(u, buf.data());
-      std::uint32_t* row = v.cache_.data() + u * static_cast<std::uint64_t>(d);
-      for (int j = 0; j < d; ++j) row[j] = static_cast<std::uint32_t>(buf[j]);
-    }
-  });
-  v.backend_ = Backend::kCached;
   return v;
 }
 
@@ -213,15 +192,6 @@ int NetworkView::expand_neighbors_block(std::span<const std::uint64_t> ranks,
       for (std::size_t i = 0; i < ranks.size(); ++i) {
         expand_from_state(block.lane(i),
                           out + i * static_cast<std::size_t>(degree_));
-      }
-      return degree_;
-    }
-    case Backend::kCached: {
-      for (std::size_t i = 0; i < ranks.size(); ++i) {
-        const std::uint32_t* row =
-            cache_.data() + ranks[i] * static_cast<std::uint64_t>(degree_);
-        std::uint64_t* o = out + i * static_cast<std::size_t>(degree_);
-        for (int j = 0; j < degree_; ++j) o[j] = row[j];
       }
       return degree_;
     }

@@ -1,18 +1,62 @@
 #include "parallel/thread_pool.hpp"
 
-#include <utility>
-
-#include "core/check.hpp"
+#include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace scg {
+
+/// One run() call.  Its caller and every worker that picked it hold it by
+/// shared_ptr, because a worker can claim an index past `count` after the
+/// caller has returned.  `task` is called only for indices below `count`,
+/// and all of those finish before the caller returns.
+struct ThreadPool::Job {
+  Job(std::size_t n, const std::function<void(std::size_t)>& t)
+      : count(n), task(&t) {}
+
+  bool open() const { return next.load() < count; }
+
+  /// Claims and runs indices until none is left to claim.
+  void work() {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        (*task)(i);
+      } catch (...) {
+        MutexLock lk(mu);
+        if (!error) error = std::current_exception();
+      }
+      if (++done == count) {
+        MutexLock lk(mu);
+        finished = true;
+        all_done.notify_one();
+      }
+    }
+  }
+
+  /// Blocks until every index has finished; returns the first exception.
+  std::exception_ptr wait() {
+    MutexLock lk(mu);
+    while (!finished) all_done.wait(lk, mu);
+    return error;
+  }
+
+  const std::size_t count;
+  const std::function<void(std::size_t)>* const task;
+  std::atomic<std::size_t> next{0};  // next index to claim
+  std::atomic<std::size_t> done{0};  // indices finished
+  Mutex mu;
+  CondVar all_done;  // signalled once, when `done` reaches `count`
+  bool finished SCG_GUARDED_BY(mu) = false;
+  std::exception_ptr error SCG_GUARDED_BY(mu);  // first exception thrown
+};
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 4;
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+  workers_.reserve(threads - 1);
+  for (std::size_t i = 1; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -22,80 +66,43 @@ ThreadPool::~ThreadPool() {
     MutexLock lk(mu_);
     stopping_ = true;
   }
-  cv_task_.notify_all();
+  cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    MutexLock lk(mu_);
-    tasks_.push(Task{std::move(task), nullptr, 0});
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-bool ThreadPool::try_submit(std::function<void()> task) {
-  // Conditional acquisition: the analysis tracks the branch-on-success
-  // pattern of try_lock(), so the unlocks below are checked too.
-  if (!mu_.try_lock()) return false;
-  if (stopping_) {
-    mu_.unlock();
-    return false;
-  }
-  tasks_.push(Task{std::move(task), nullptr, 0});
-  ++in_flight_;
-  mu_.unlock();
-  cv_task_.notify_one();
-  return true;
-}
-
-std::size_t ThreadPool::queue_depth() const {
-  MutexLock lk(mu_);
-  return tasks_.size();
-}
-
-void ThreadPool::submit_batch(std::size_t count,
-                              std::function<void(std::size_t)> task) {
+void ThreadPool::run(std::size_t count,
+                     const std::function<void(std::size_t)>& task) {
   if (count == 0) return;
-  auto shared = std::make_shared<const std::function<void(std::size_t)>>(
-      std::move(task));
+  const auto job = std::make_shared<Job>(count, task);
   {
     MutexLock lk(mu_);
-    for (std::size_t i = 0; i < count; ++i) {
-      tasks_.push(Task{nullptr, shared, i});
-    }
-    in_flight_ += count;
+    jobs_.push_back(job);
   }
-  if (count == 1) {
-    cv_task_.notify_one();
-  } else {
-    cv_task_.notify_all();
+  cv_.notify_all();
+  job->work();
+  {
+    // Every index is claimed: no worker needs to find the job any more.
+    MutexLock lk(mu_);
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
+  }
+  if (const std::exception_ptr error = job->wait()) {
+    std::rethrow_exception(error);
   }
 }
 
-void ThreadPool::wait_idle() {
+std::shared_ptr<ThreadPool::Job> ThreadPool::next_job() {
   MutexLock lk(mu_);
-  while (in_flight_ != 0) cv_idle_.wait(lk, mu_);
+  for (;;) {
+    if (stopping_) return nullptr;
+    for (const std::shared_ptr<Job>& job : jobs_) {
+      if (job->open()) return job;
+    }
+    cv_.wait(lk, mu_);
+  }
 }
 
 void ThreadPool::worker_loop() {
-  for (;;) {
-    Task task;
-    {
-      MutexLock lk(mu_);
-      while (!has_work()) cv_task_.wait(lk, mu_);
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task.run();
-    {
-      MutexLock lk(mu_);
-      SCG_CHECK_GT(in_flight_, std::size_t{0});
-      if (--in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
+  while (const std::shared_ptr<Job> job = next_job()) job->work();
 }
 
 ThreadPool& ThreadPool::global() {

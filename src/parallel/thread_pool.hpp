@@ -1,17 +1,16 @@
-// Minimal fixed-size thread pool used by the topology and sweep code.
+// Minimal fixed-size fork-join pool used by the topology and sweep code.
 //
 // Design notes (why not std::async / OpenMP): the heavy kernels in this
 // library are level-synchronous BFS frontiers and exhaustive solver sweeps
 // over k! permutations.  Both want (a) a stable set of worker threads so that
 // per-thread scratch buffers survive across parallel regions, and (b) a
-// blocking "run these tasks and wait" primitive.  A ~100-line pool covers
+// blocking "run these indices and wait" primitive.  A ~100-line pool covers
 // that without adding a dependency.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -19,72 +18,50 @@
 
 namespace scg {
 
-/// Fixed set of worker threads executing submitted tasks.  Thread-safe.
+/// Fixed set of worker threads that help callers of run().  Thread-safe.
 class ThreadPool {
  public:
-  /// Creates a pool with `threads` workers (0 means hardware concurrency).
+  /// Creates a pool of `threads` participants: the thread calling run()
+  /// plus `threads - 1` workers (0 means hardware concurrency).  A pool of
+  /// one starts no thread.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
-  std::size_t size() const { return workers_.size(); }
+  /// Participants in a run() call: the workers plus the caller.
+  std::size_t size() const { return workers_.size() + 1; }
 
-  /// Enqueues a task.  Tasks must not throw.
-  void submit(std::function<void()> task);
-
-  /// Non-blocking submit: enqueues `task` unless the queue lock is
-  /// contended or the pool is shutting down.  Returns whether the task was
-  /// accepted (false means the caller still owns the work — nothing was
-  /// enqueued).  Lets latency-sensitive producers shed to an inline
-  /// fallback instead of stalling behind a long submit_batch.
-  bool try_submit(std::function<void()> task);
-
-  /// Tasks currently queued (excluding ones already running).  A sampled
-  /// gauge for backpressure decisions, not a synchronisation primitive —
-  /// the value can be stale by the time the caller reads it.
-  std::size_t queue_depth() const;
-
-  /// Enqueues `count` tasks sharing ONE callable, invoked as task(i) for
-  /// each i in [0, count): one lock acquisition, one type-erasure
-  /// allocation and one wakeup for the whole batch, vs one of each per
-  /// task with submit().  This is what parallel_for uses — per-region
-  /// queue contention no longer scales with the chunk count.
-  void submit_batch(std::size_t count, std::function<void(std::size_t)> task);
-
-  /// Blocks until every submitted task has finished executing.
-  void wait_idle();
+  /// Runs task(i) for every i in [0, count) and returns once all of them
+  /// have finished.  The workers and the calling thread claim indices from
+  /// one shared counter, and the call waits only for its own indices, so
+  /// concurrent callers do not wait for each other and a task may call
+  /// run() itself.  If tasks throw, the other indices still run and the
+  /// first exception is rethrown here.
+  ///
+  /// The caller runs tasks too, so a task must not use a thread_local that
+  /// the caller holds across the call.  None does: RouteEngine::scratch()
+  /// users do not fan out, and route_batch gives every chunk its own arena.
+  void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
   /// Process-wide default pool (created on first use).
   static ThreadPool& global();
 
  private:
-  /// One queue entry: either a standalone task or one index of a batch
-  /// (batch members share the callable through the shared_ptr).
-  struct Task {
-    std::function<void()> single;
-    std::shared_ptr<const std::function<void(std::size_t)>> batch;
-    std::size_t index = 0;
-
-    void run() { batch ? (*batch)(index) : single(); }
-  };
+  struct Job;
 
   void worker_loop();
 
-  /// Wait predicate of worker_loop: a task is runnable or shutdown began.
-  bool has_work() const SCG_REQUIRES(mu_) {
-    return stopping_ || !tasks_.empty();
-  }
+  /// Blocks until a posted job has an index left to claim and returns the
+  /// oldest such job; returns null once shutdown has begun.
+  std::shared_ptr<Job> next_job() SCG_EXCLUDES(mu_);
 
-  std::vector<std::thread> workers_;
-  mutable Mutex mu_;
-  CondVar cv_task_;   // signalled when a task is available
-  CondVar cv_idle_;   // signalled when the pool drains
-  std::queue<Task> tasks_ SCG_GUARDED_BY(mu_);
-  std::size_t in_flight_ SCG_GUARDED_BY(mu_) = 0;  // queued + running tasks
+  Mutex mu_;
+  CondVar cv_;  // signalled when a job is posted or shutdown begins
+  std::vector<std::shared_ptr<Job>> jobs_ SCG_GUARDED_BY(mu_);
   bool stopping_ SCG_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace scg

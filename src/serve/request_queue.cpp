@@ -8,20 +8,6 @@
 
 namespace scg {
 
-const char* serve_status_name(ServeStatus s) {
-  switch (s) {
-    case ServeStatus::kOk:
-      return "ok";
-    case ServeStatus::kShedLoad:
-      return "shed-load";
-    case ServeStatus::kShedRate:
-      return "shed-rate";
-    case ServeStatus::kClosed:
-      return "closed";
-  }
-  return "?";
-}
-
 RequestQueue::RequestQueue(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 

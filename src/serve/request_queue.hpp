@@ -37,8 +37,6 @@ enum class ServeStatus : std::uint8_t {
   kClosed,    ///< service shutting down before the request was accepted
 };
 
-const char* serve_status_name(ServeStatus s);
-
 /// Steady-clock nanosecond stamps of one request's life: submit (client
 /// called in) -> enqueue (admitted) -> batch (drained into a micro-batch)
 /// -> solved (engine finished the batch) -> complete (reply fulfilled).

@@ -1,9 +1,12 @@
 // Thread pool and parallel-for: coverage, determinism, reductions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -13,30 +16,11 @@
 namespace scg {
 namespace {
 
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
 TEST(ThreadPool, ReusableAcrossWaves) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
   for (int wave = 0; wave < 5; ++wave) {
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&count] { ++count; });
-    }
-    pool.wait_idle();
+    pool.run(20, [&count](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), (wave + 1) * 20);
   }
 }
@@ -44,99 +28,159 @@ TEST(ThreadPool, ReusableAcrossWaves) {
 TEST(ThreadPool, SubmitBatchRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(997);  // odd size, not a chunk multiple
-  pool.submit_batch(hits.size(), [&](std::size_t i) {
-    ++hits[i];
-  });
-  pool.wait_idle();
+  pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, SubmitBatchZeroCountIsANoOp) {
   ThreadPool pool(2);
   bool called = false;
-  pool.submit_batch(0, [&](std::size_t) { called = true; });
-  pool.wait_idle();
+  pool.run(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, SubmitBatchInterleavesWithPlainSubmit) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int wave = 0; wave < 4; ++wave) {
-    pool.submit([&count] { ++count; });
-    pool.submit_batch(50, [&count](std::size_t) { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 4 * 51);
 }
 
 TEST(ThreadPool, SizeDefaultsToHardware) {
   ThreadPool pool;
-  EXPECT_GE(pool.size(), 1u);
+  const std::size_t hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(pool.size(), hw == 0 ? 4u : hw);
 }
 
-TEST(ThreadPool, TrySubmitRunsTasksWhenAccepted) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  int accepted = 0;
-  // try_submit may refuse under lock contention; loop until each of the 50
-  // tasks is accepted.  Every acceptance must execute exactly once.
-  for (int i = 0; i < 50; ++i) {
-    while (!pool.try_submit(
-        [&count] { count.fetch_add(1, std::memory_order_relaxed); })) {
-    }
-    ++accepted;
-  }
-  pool.wait_idle();
-  EXPECT_EQ(accepted, 50);
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, QueueDepthReflectsPendingTasks) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  std::atomic<bool> started{false};
-  pool.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!started.load()) std::this_thread::yield();
-  // The single worker is pinned on the gate task; everything submitted now
-  // stays queued and must be visible through queue_depth().
-  constexpr std::size_t kQueued = 7;
-  for (std::size_t i = 0; i < kQueued; ++i) {
-    pool.submit([] {});
-  }
-  EXPECT_EQ(pool.queue_depth(), kQueued);
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(pool.queue_depth(), 0u);
+TEST(ThreadPool, OneParticipantRunsTasksOnTheCaller) {
+  ThreadPool one(1);
+  EXPECT_EQ(one.size(), 1u);
+  std::vector<std::thread::id> ran(8);
+  one.run(ran.size(), [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  for (const std::thread::id id : ran) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, SubmitBatchUnderContentionNeverDeadlocksAtTeardown) {
-  // Regression: repeatedly tear a pool down while several threads are
-  // mid-submit_batch.  Every submitted index must still run exactly once
-  // (submit_batch returns only after enqueuing), and destruction must not
-  // deadlock on the shared-callable bookkeeping.
+  // Regression: repeatedly tear a pool down right after several threads
+  // ran concurrent jobs on it.  Every index must run exactly once, and
+  // destruction must not deadlock on a job a worker still holds.
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::uint64_t> hits{0};
-    constexpr int kSubmitters = 4;
-    constexpr std::size_t kPerBatch = 333;
+    constexpr int kCallers = 4;
+    constexpr std::size_t kPerJob = 333;
     {
       ThreadPool pool(3);
-      std::vector<std::thread> submitters;
-      for (int s = 0; s < kSubmitters; ++s) {
-        submitters.emplace_back([&pool, &hits] {
-          pool.submit_batch(kPerBatch, [&hits](std::size_t) {
+      std::vector<std::thread> callers;
+      for (int s = 0; s < kCallers; ++s) {
+        callers.emplace_back([&pool, &hits] {
+          pool.run(kPerJob, [&hits](std::size_t) {
             hits.fetch_add(1, std::memory_order_relaxed);
           });
         });
       }
-      for (auto& t : submitters) t.join();
-      // Pool destructor drains the queue and joins workers here.
+      for (auto& t : callers) t.join();
     }
-    EXPECT_EQ(hits.load(), kSubmitters * kPerBatch);
+    EXPECT_EQ(hits.load(), kCallers * kPerJob);
   }
+}
+
+// The two tests below bound every wait, so a pool that blocks a caller
+// fails them instead of hanging the suite.
+constexpr auto kDeadline = std::chrono::seconds(10);
+
+/// Spins until `pred()` holds or the deadline passes; returns pred().
+template <typename Pred>
+bool eventually(Pred pred) {
+  const auto until = std::chrono::steady_clock::now() + kDeadline;
+  while (!pred() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+  return pred();
+}
+
+TEST(ParallelFor, ConcurrentCallersDoNotWaitForEachOther) {
+  ThreadPool pool(3);
+  std::atomic<bool> gate{false};
+  std::atomic<int> blocked{0};
+  // One caller's two chunks stay blocked until the gate opens.
+  std::thread holder([&] {
+    parallel_for_chunks(
+        2,
+        [&](std::uint64_t, std::uint64_t) {
+          ++blocked;
+          while (!gate.load()) std::this_thread::yield();
+        },
+        /*grain=*/1, &pool);
+  });
+  EXPECT_TRUE(eventually([&] { return blocked.load() == 2; }));
+  constexpr int kCallers = 2;
+  std::atomic<int> returned{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      std::vector<int> hits(64);
+      parallel_for_chunks(
+          hits.size(),
+          [&](std::uint64_t lo, std::uint64_t hi) {
+            for (std::uint64_t i = lo; i < hi; ++i) ++hits[i];
+          },
+          /*grain=*/1, &pool);
+      EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 64);
+      ++returned;
+    });
+  }
+  EXPECT_TRUE(eventually([&] { return returned.load() == kCallers; }))
+      << "a caller waited for another caller's chunks";
+  gate.store(true);
+  holder.join();
+  for (auto& t : callers) t.join();
+}
+
+TEST(ParallelFor, NestedCallFromAChunkCompletes) {
+  // A nested call that never returns cannot be joined, nor its pool
+  // destroyed: the test then detaches the thread and leaks the pool, so
+  // the state the thread uses is shared or leaked rather than on the stack.
+  auto* pool = new ThreadPool(3);
+  auto inner = std::make_shared<std::atomic<int>>(0);
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  std::thread outer([pool, inner, finished] {
+    parallel_for_chunks(
+        4,
+        [&](std::uint64_t, std::uint64_t) {
+          parallel_for_chunks(
+              8, [&](std::uint64_t lo, std::uint64_t hi) {
+                *inner += static_cast<int>(hi - lo);
+              },
+              /*grain=*/1, pool);
+        },
+        /*grain=*/1, pool);
+    finished->store(true);
+  });
+  if (!eventually([&] { return finished->load(); })) {
+    outer.detach();
+    FAIL() << "a parallel_for_chunks nested in a chunk did not return";
+  }
+  outer.join();
+  EXPECT_EQ(inner->load(), 4 * 8);
+  delete pool;
+}
+
+TEST(ParallelFor, ThrowingChunkIsRethrownOnTheCaller) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(100);
+  const auto sweep = [&] {
+    parallel_for_chunks(
+        hits.size(),
+        [&](std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t i = lo; i < hi; ++i) ++hits[i];
+          if (lo <= 37 && 37 < hi) throw std::runtime_error("chunk 37");
+        },
+        /*grain=*/1, &pool);
+  };
+  EXPECT_THROW(sweep(), std::runtime_error);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // The pool is still usable after the throw.
+  for (auto& h : hits) h = 0;
+  parallel_for_chunks(
+      hits.size(),
+      [&](std::uint64_t lo, std::uint64_t hi) {
+        for (std::uint64_t i = lo; i < hi; ++i) ++hits[i];
+      },
+      /*grain=*/1, &pool);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {

@@ -36,14 +36,11 @@ std::vector<std::uint64_t> view_neighbors(const NetworkView& view,
 void expect_matches_naive(const NetworkSpec& net) {
   const NetworkView fwd = NetworkView::of(net);
   const NetworkView rev = NetworkView::reverse_of(net);
-  const NetworkView cached = NetworkView::cached(net);
   ASSERT_EQ(fwd.num_nodes(), net.num_nodes());
   ASSERT_EQ(fwd.degree(), net.degree());
-  ASSERT_TRUE(cached.is_cached()) << net.name;
   for (std::uint64_t r = 0; r < net.num_nodes(); ++r) {
     const std::vector<std::uint64_t> want = naive_neighbors(net, r);
     EXPECT_EQ(view_neighbors(fwd, r), want) << net.name << " node " << r;
-    EXPECT_EQ(view_neighbors(cached, r), want) << net.name << " node " << r;
     // Reverse view: tag j of u's reverse expansion is the node whose
     // forward tag-j neighbor is u.
     const std::vector<std::uint64_t> back = view_neighbors(rev, r);
@@ -83,17 +80,6 @@ TEST(NetworkView, ForEachNeighborAgreesWithBatch) {
   }
 }
 
-TEST(NetworkView, CachedFallsBackToImplicitWhenOverBudget) {
-  const NetworkSpec net = make_star_graph(6);
-  const NetworkView small = NetworkView::cached(net, /*budget_bytes=*/16);
-  EXPECT_EQ(small.backend(), NetworkView::Backend::kImplicit);
-  EXPECT_FALSE(small.is_cached());
-  // Still a working view.
-  EXPECT_EQ(view_neighbors(small, 0), naive_neighbors(net, 0));
-  const NetworkView big = NetworkView::cached(net);
-  EXPECT_EQ(big.backend(), NetworkView::Backend::kCached);
-}
-
 TEST(NetworkView, CsrBackendMatchesImplicit) {
   const NetworkSpec net = make_rotation_star(2, 2);  // directed
   const Graph g = materialize(net);
@@ -112,8 +98,9 @@ TEST(NetworkView, CsrBackendMatchesImplicit) {
 TEST(NetworkView, DistanceStatsIdenticalAcrossBackends) {
   const NetworkSpec net = make_macro_star(2, 2);
   const std::uint64_t src = Permutation::identity(net.k()).rank();
+  const Graph g = materialize(net);
   const DistanceStats a = distance_stats(NetworkView::of(net), src);
-  const DistanceStats b = distance_stats(NetworkView::cached(net), src);
+  const DistanceStats b = distance_stats(NetworkView::of(g), src);
   const DistanceStats c = distance_stats(NetworkView::of(net), src,
                                          /*parallel=*/true);
   EXPECT_EQ(a.histogram, b.histogram);
