@@ -17,15 +17,6 @@ constexpr double kTimeoutPenalty = 8.0;
 /// Probation before a quarantined channel is re-admitted.
 constexpr std::uint64_t kQuarantineCycles = 1024;
 
-std::vector<std::uint32_t> narrow_path(const std::vector<std::uint64_t>& path) {
-  std::vector<std::uint32_t> out;
-  out.reserve(path.size());
-  for (const std::uint64_t u : path) {
-    out.push_back(static_cast<std::uint32_t>(u));
-  }
-  return out;
-}
-
 }  // namespace
 
 void AdaptiveFaultPolicy::route_path(std::uint64_t src, std::uint64_t dst,

@@ -78,15 +78,6 @@ class AdaptiveFaultPolicy final : public RoutePolicy, public SimObserver {
     bool quarantined = false;
     std::uint64_t quarantined_until = 0;
   };
-  struct KeyHash {
-    std::size_t operator()(
-        const std::pair<std::uint64_t, std::uint64_t>& p) const {
-      std::uint64_t h = p.first * 0x9e3779b97f4a7c15ULL;
-      h ^= (p.second + 0xc2b2ae3d27d4eb4fULL) + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   static std::pair<std::uint64_t, std::uint64_t> chan(std::uint64_t u,
                                                       std::uint64_t v) {
     return {std::min(u, v), std::max(u, v)};
@@ -98,7 +89,7 @@ class AdaptiveFaultPolicy final : public RoutePolicy, public SimObserver {
 
   FaultRouter router_;
   std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, ChannelHealth,
-                     KeyHash>
+                     NodePairHash>
       health_;
   FaultSet quarantine_;
   std::uint64_t now_ = 0;  ///< latest feedback time seen

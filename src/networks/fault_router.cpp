@@ -38,6 +38,15 @@ RouteOutcome unreachable(std::string reason, RouteOutcome out) {
 
 }  // namespace
 
+std::vector<std::uint32_t> narrow_path(const std::vector<std::uint64_t>& path) {
+  std::vector<std::uint32_t> out;
+  out.reserve(path.size());
+  for (const std::uint64_t u : path) {
+    out.push_back(static_cast<std::uint32_t>(u));
+  }
+  return out;
+}
+
 std::vector<std::vector<std::uint64_t>> node_disjoint_paths(
     const NetworkSpec& net, std::uint64_t s, std::uint64_t t,
     std::uint64_t max_nodes) {

@@ -50,6 +50,9 @@ struct RouteOutcome {
   int hops() const { return static_cast<int>(word.size()); }
 };
 
+/// A RouteOutcome path as the 32-bit node ranks simulator paths carry.
+std::vector<std::uint32_t> narrow_path(const std::vector<std::uint64_t>& path);
+
 /// Largest network whose node-disjoint backup paths are built (stage 3):
 /// the max-flow network is explicit.
 inline constexpr std::uint64_t kBackupNodeLimit = 40000;
@@ -99,19 +102,12 @@ class FaultRouter {
   NetworkView view_;
   RouteEngine engine_;
 
-  struct PairHash {
-    std::size_t operator()(
-        const std::pair<std::uint64_t, std::uint64_t>& p) const {
-      std::uint64_t h = p.first * 0x9e3779b97f4a7c15ULL;
-      h ^= (p.second + 0xc2b2ae3d27d4eb4fULL) + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
   mutable Mutex backup_mu_;
   /// Entry *references* handed out by backups() stay valid outside the lock
   /// (unordered_map never invalidates them); only map mutation is guarded.
   mutable std::unordered_map<std::pair<std::uint64_t, std::uint64_t>,
-                             std::vector<std::vector<std::uint64_t>>, PairHash>
+                             std::vector<std::vector<std::uint64_t>>,
+                             NodePairHash>
       backup_cache_ SCG_GUARDED_BY(backup_mu_);
 };
 

@@ -117,6 +117,9 @@ int gen_key(const Generator& g) {
 constexpr std::size_t kGenKeySpace =
     std::size_t{7} * (kMaxSymbols + 1) * (kMaxSymbols + 1);
 
+/// Lock shards of the route cache (a power of two).
+constexpr std::size_t kCacheShards = 8;
+
 }  // namespace
 
 int route_word_bound(const NetworkSpec& net) {
@@ -263,49 +266,33 @@ struct RouteEngine::CacheShard {
 };
 
 RouteEngine::RouteEngine(const NetworkSpec& net, RouteEngineConfig cfg)
-    : net_(&net), cfg_(cfg), bound_(route_word_bound(net)) {
+    : net_(&net), bound_(route_word_bound(net)) {
   const int k = net.k();
-  compiled_.reserve(net.generators.size());
+  lanes_.reserve(net.generators.size());
   gen_index_.assign(kGenKeySpace, -1);
   for (const Generator& g : net.generators) {
-    CompiledGen cg;
     const Permutation pos = g.as_position_permutation(k);
-    int prefix = 0;
-    for (int p = 0; p < k; ++p) {
-      cg.tab[p] = static_cast<std::uint8_t>(pos[p] - 1);
-      if (cg.tab[p] != p) prefix = p + 1;
-    }
-    cg.prefix_len = prefix;
-    cg.lane = make_table_lane(cg.tab.data(), k);
+    std::uint8_t tab[kMaxSymbols] = {};
+    for (int p = 0; p < k; ++p) tab[p] = static_cast<std::uint8_t>(pos[p] - 1);
     const int key = gen_key(g);
     if (key >= 0) {
       gen_index_[static_cast<std::size_t>(key)] =
-          static_cast<std::int16_t>(compiled_.size());
+          static_cast<std::int16_t>(lanes_.size());
     }
-    compiled_.push_back(cg);
+    lanes_.push_back(make_table_lane(tab, k));
   }
-  if (cfg_.cache_capacity > 0) {
-    std::size_t pow2 = 1;
-    while (pow2 < static_cast<std::size_t>(std::max(1, cfg_.cache_shards))) {
-      pow2 <<= 1;
-    }
-    shard_mask_ = pow2 - 1;
-    per_shard_capacity_ = std::max<std::size_t>(1, cfg_.cache_capacity / pow2);
-    shards_ = std::make_unique<CacheShard[]>(pow2);
+  if (cfg.cache_capacity > 0) {
+    per_shard_capacity_ =
+        std::max<std::size_t>(1, cfg.cache_capacity / kCacheShards);
+    shards_ = std::make_unique<CacheShard[]>(kCacheShards);
   }
 }
 
 RouteEngine::~RouteEngine() = default;
 
-std::size_t RouteEngine::cache_shard_of(std::uint64_t rel_rank) const {
-  return shards_ ? static_cast<std::size_t>(shard_for(rel_rank) -
-                                            shards_.get())
-                 : 0;
-}
-
 RouteEngine::CacheShard* RouteEngine::shard_for(std::uint64_t key) const {
   const std::uint64_t h = key * 0x9e3779b97f4a7c15ULL;
-  return &shards_[(h >> 32) & shard_mask_];
+  return &shards_[(h >> 32) & (kCacheShards - 1)];
 }
 
 std::span<const Generator> RouteEngine::route_rel_into(const Permutation& w,
@@ -472,7 +459,7 @@ void RouteEngine::expand_path_into(std::uint64_t src_rank,
       for (int p = 0; p < k; ++p) lane[p] = static_cast<std::uint8_t>(u[p] - 1);
     } else {
       perm_kernels::apply_table_lane(
-          lane, compiled_[static_cast<std::size_t>(gi)].lane, stride);
+          lane, lanes_[static_cast<std::size_t>(gi)], stride);
     }
     *out++ = static_cast<std::uint32_t>(perm_kernels::rank_lane(lane, k));
   }
@@ -481,7 +468,7 @@ void RouteEngine::expand_path_into(std::uint64_t src_rank,
 RouteCacheStats RouteEngine::cache_stats() const {
   RouteCacheStats stats;
   if (shards_ == nullptr) return stats;
-  for (std::size_t s = 0; s <= shard_mask_; ++s) {
+  for (std::size_t s = 0; s < kCacheShards; ++s) {
     MutexLock lk(shards_[s].mu);
     stats.hits += shards_[s].hits;
     stats.misses += shards_[s].misses;
@@ -489,18 +476,6 @@ RouteCacheStats RouteEngine::cache_stats() const {
     stats.entries += shards_[s].map.size();
   }
   return stats;
-}
-
-void RouteEngine::clear_cache() {
-  if (shards_ == nullptr) return;
-  for (std::size_t s = 0; s <= shard_mask_; ++s) {
-    MutexLock lk(shards_[s].mu);
-    shards_[s].lru.clear();
-    shards_[s].map.clear();
-    shards_[s].hits = 0;
-    shards_[s].misses = 0;
-    shards_[s].evictions = 0;
-  }
 }
 
 }  // namespace scg

@@ -14,18 +14,18 @@
 //    (structure-of-arrays) and fans fixed-size chunks across the ThreadPool;
 //    each chunk owns a reusable arena (concatenated words + offsets), so a
 //    steady-state batch performs zero heap allocations.
-//  * A sharded LRU route cache keyed on the *relative* permutation
-//    W = V^{-1}∘U.  Super Cayley graphs are vertex-transitive and the route
-//    word is a pure function of W (route() literally solves W), so one cache
-//    entry serves every (U,V) pair with the same relative displacement —
-//    all-to-all traffic on an N-node network hits after only N-1 solves.
+//  * An LRU route cache keyed on the *relative* permutation W = V^{-1}∘U.
+//    Super Cayley graphs are vertex-transitive and the route word is a pure
+//    function of W (route() literally solves W), so one cache entry serves
+//    every (U,V) pair with the same relative displacement — all-to-all
+//    traffic on an N-node network hits after only N-1 solves.  How the
+//    cache is sharded is private to this engine.
 //
 // Thread-safety: all routing entry points are const and safe to call
-// concurrently (the cache uses per-shard locks; per-thread buffers come
-// from `scratch()` and from route_length's own).
+// concurrently (the cache locks per shard; per-thread buffers come from
+// `scratch()` and from route_length's own).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -132,10 +132,9 @@ class RouteBatch {
 // ---------------------------------------------------------------------------
 
 struct RouteEngineConfig {
-  /// Cached route words across all shards; 0 disables the cache.
+  /// Cached route words; 0 disables the cache.  The cache splits them over
+  /// 8 lock shards of at least one word each, so it holds at least 8.
   std::size_t cache_capacity = std::size_t{1} << 15;
-  /// Lock shards (rounded up to a power of two, at least 1).
-  int cache_shards = 8;
 };
 
 struct RouteCacheStats {
@@ -216,16 +215,6 @@ class RouteEngine {
                         std::uint32_t* out) const;
 
   RouteCacheStats cache_stats() const;
-  void clear_cache();
-
-  /// Number of lock shards in the route cache (0 when caching is off).
-  std::size_t cache_shard_count() const { return shards_ ? shard_mask_ + 1 : 0; }
-
-  /// The shard that holds relative-permutation key `rel_rank` (0 with the
-  /// cache off).  The serving layer pins each worker to a disjoint shard
-  /// group so translation-equivalent requests meet on one worker and an
-  /// uncontended shard.
-  std::size_t cache_shard_of(std::uint64_t rel_rank) const;
 
  private:
   struct CacheShard;
@@ -233,22 +222,15 @@ class RouteEngine {
   CacheShard* shard_for(std::uint64_t key) const;
 
   const NetworkSpec* net_;
-  RouteEngineConfig cfg_;
   int bound_ = 0;
 
-  /// Compiled generator tables (the NetworkView lowering): tab[p] is the
-  /// source index of the symbol landing at position p, prefix_len the
-  /// number of leading positions actually moved.
-  struct CompiledGen {
-    std::array<std::uint8_t, kMaxSymbols> tab{};
-    int prefix_len = 0;
-    PermLane lane{};  ///< `tab` identity-padded for the shuffle kernels
-  };
-  std::vector<CompiledGen> compiled_;
-  /// (kind, i, n) -> index into compiled_, -1 if not a generator of net_.
+  /// Compiled generator tables (the NetworkView lowering) for the shuffle
+  /// kernels: lane p is the source index of the symbol landing at position
+  /// p, identity-padded past k.
+  std::vector<PermLane> lanes_;
+  /// (kind, i, n) -> index into lanes_, -1 if not a generator of net_.
   std::vector<std::int16_t> gen_index_;
 
-  std::size_t shard_mask_ = 0;
   std::size_t per_shard_capacity_ = 0;
   std::unique_ptr<CacheShard[]> shards_;
 };

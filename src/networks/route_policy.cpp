@@ -148,11 +148,7 @@ void FaultPolicy::route_path(std::uint64_t src, std::uint64_t dst,
   if (!outcome.delivered()) {
     throw std::runtime_error("fault policy: unreachable: " + outcome.reason);
   }
-  out.clear();
-  out.reserve(outcome.path.size());
-  for (const std::uint64_t u : outcome.path) {
-    out.push_back(static_cast<std::uint32_t>(u));
-  }
+  out = narrow_path(outcome.path);
 }
 
 int FaultPolicy::route_hops(std::uint64_t src, std::uint64_t dst) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/check.hpp"
@@ -9,43 +10,42 @@
 namespace scg {
 
 RouteServiceConfig RouteService::sanitize(RouteServiceConfig cfg) {
-  cfg.workers = std::max(1, cfg.workers);
+  constexpr int kMaxWorkers = 256;
+  if (cfg.workers < 1 || cfg.workers > kMaxWorkers) {
+    throw std::invalid_argument("RouteService: workers must be in 1.." +
+                                std::to_string(kMaxWorkers) + ", got " +
+                                std::to_string(cfg.workers));
+  }
   cfg.max_batch = std::max<std::size_t>(1, cfg.max_batch);
   cfg.queue_capacity = std::max<std::size_t>(1, cfg.queue_capacity);
-  // Make shard -> worker a partition: with at least as many shards as
-  // workers, shard s is owned by exactly worker s % workers and no cache
-  // lock is ever contended between workers.
-  cfg.engine.cache_shards = std::max(cfg.engine.cache_shards, cfg.workers);
   return cfg;
 }
 
 RouteService::RouteService(const NetworkSpec& net, RouteServiceConfig cfg)
-    : cfg_(sanitize(cfg)),
-      net_(net),
-      engine_(net_, cfg_.engine),
-      admission_(cfg_.admission) {
-  queues_.reserve(static_cast<std::size_t>(cfg_.workers));
-  for (int w = 0; w < cfg_.workers; ++w) {
-    queues_.push_back(std::make_unique<RequestQueue>(cfg_.queue_capacity));
+    : cfg_(sanitize(cfg)), net_(net), admission_(cfg_.admission) {
+  // Split the service's cache: each engine holds ⌈capacity / workers⌉ words.
+  const auto n = static_cast<std::size_t>(cfg_.workers);
+  RouteEngineConfig engine = cfg_.engine;
+  engine.cache_capacity = engine.cache_capacity / n +
+                          (engine.cache_capacity % n != 0 ? 1 : 0);
+  workers_.reserve(n);
+  for (std::size_t w = 0; w < n; ++w) {
+    workers_.push_back(
+        std::make_unique<Worker>(cfg_.queue_capacity, net_, engine));
   }
-  workers_.reserve(static_cast<std::size_t>(cfg_.workers));
-  for (int w = 0; w < cfg_.workers; ++w) {
-    workers_.emplace_back(
-        [this, w] { worker_loop(static_cast<std::size_t>(w)); });
+  // Threads start only once every Worker exists; one that fails to start
+  // must not leave the others running past the members they use.
+  try {
+    for (const auto& w : workers_) {
+      w->thread = std::thread([this, &worker = *w] { worker_loop(worker); });
+    }
+  } catch (...) {
+    shutdown();
+    throw;
   }
 }
 
 RouteService::~RouteService() { shutdown(); }
-
-std::size_t RouteService::worker_of(std::uint64_t rel) const {
-  if (engine_.cache_shard_count() > 0) {
-    return engine_.cache_shard_of(rel) % queues_.size();
-  }
-  // Cache disabled: fall back to the same multiplicative hash the engine
-  // shards with, so equal keys still land on one worker.
-  return static_cast<std::size_t>((rel * 0x9e3779b97f4a7c15ULL) >> 32) %
-         queues_.size();
-}
 
 void RouteService::complete_shed(ServeRequest& r, ServeStatus status) {
   RouteReply reply;
@@ -94,25 +94,23 @@ std::future<RouteReply> RouteService::submit_impl(std::uint64_t src,
     return fut;
   }
 
-  // Dispatch on the cache key, the rank of W = V^{-1}∘U, so every copy of
-  // a W reaches the worker that owns its cache shard.
-  const Permutation u = Permutation::unrank(net_.k(), src);
-  const Permutation v = Permutation::unrank(net_.k(), dst);
-  const std::size_t w = worker_of(u.relabel_symbols(v.inverse()).rank());
+  const std::uint64_t turn =
+      next_worker_.fetch_add(1, std::memory_order_relaxed);
+  RequestQueue& queue = workers_[turn % workers_.size()]->queue;
   r.t.enqueue_ns = serve_now_ns();
 
   // Pre-count the admitted request so a burst of concurrent submitters is
   // visible to admission before any of them lands in a queue.
   queued_depth_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  const bool accepted = blocking ? queues_[w]->push(std::move(r))
-                                 : queues_[w]->try_push(std::move(r));
+  const bool accepted =
+      blocking ? queue.push(std::move(r)) : queue.try_push(std::move(r));
   if (!accepted) {
     queued_depth_.fetch_sub(1, std::memory_order_relaxed);
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     // push/try_push refused, so `r` was NOT consumed — the move above never
     // happened and the promise is still ours to complete.
-    if (queues_[w]->closed()) {
+    if (queue.closed()) {
       stats_.on_rejected_closed();
       complete_shed(r, ServeStatus::kClosed);  // NOLINT(bugprone-use-after-move)
     } else {
@@ -129,8 +127,7 @@ RouteReply RouteService::route(std::uint64_t src, std::uint64_t dst) {
   return submit(src, dst).get();
 }
 
-void RouteService::worker_loop(std::size_t w) {
-  RequestQueue& queue = *queues_[w];
+void RouteService::worker_loop(Worker& w) {
   std::vector<ServeRequest> batch;
   batch.reserve(cfg_.max_batch);
   std::vector<std::uint64_t> srcs;
@@ -138,7 +135,7 @@ void RouteService::worker_loop(std::size_t w) {
   RouteBatch solved;
 
   const std::chrono::microseconds linger(cfg_.linger_us);
-  while (queue.pop_batch(batch, cfg_.max_batch, linger) > 0) {
+  while (w.queue.pop_batch(batch, cfg_.max_batch, linger) > 0) {
     const std::uint64_t t_batch = serve_now_ns();
     queued_depth_.fetch_sub(batch.size(), std::memory_order_relaxed);
 
@@ -150,7 +147,7 @@ void RouteService::worker_loop(std::size_t w) {
     }
     // With max_batch <= 256 this runs inline on this thread, in order, so
     // a repeated W is cached by its first copy before the next looks it up.
-    engine_.route_batch(srcs, dsts, solved);
+    w.engine.route_batch(srcs, dsts, solved);
     const std::uint64_t t_solved = serve_now_ns();
     // The dual trigger caps a batch.
     SCG_CHECK_LE(batch.size(), cfg_.max_batch);
@@ -189,9 +186,11 @@ void RouteService::drain() {
 void RouteService::shutdown() {
   MutexLock lifecycle(lifecycle_mu_);
   closed_.store(true, std::memory_order_release);
-  for (auto& q : queues_) q->close();
+  for (const auto& w : workers_) w->queue.close();
   if (!joined_) {
-    for (auto& t : workers_) t.join();
+    for (const auto& w : workers_) {
+      if (w->thread.joinable()) w->thread.join();
+    }
     joined_ = true;
   }
 }
@@ -199,13 +198,19 @@ void RouteService::shutdown() {
 ServiceStatsSnapshot RouteService::snapshot() const {
   std::uint64_t high_water = 0;
   std::uint64_t blocked_ns = 0;
-  for (const auto& q : queues_) {
-    const RequestQueueStats qs = q->stats();
+  RouteCacheStats cache;
+  for (const auto& w : workers_) {
+    const RequestQueueStats qs = w->queue.stats();
     high_water = std::max(high_water, qs.high_water);
     blocked_ns += qs.blocked_ns;
+    const RouteCacheStats cs = w->engine.cache_stats();
+    cache.hits += cs.hits;
+    cache.misses += cs.misses;
+    cache.evictions += cs.evictions;
+    cache.entries += cs.entries;
   }
   return stats_.snapshot(in_flight_.load(std::memory_order_acquire),
-                         high_water, blocked_ns, engine_.cache_stats());
+                         high_water, blocked_ns, cache);
 }
 
 }  // namespace scg

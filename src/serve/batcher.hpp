@@ -5,7 +5,7 @@
 // so far hand-builds its own batches.  This service is the missing layer
 // between "millions of independent clients" and "SoA batch solver":
 //
-//   submit(src, dst)                          admission       per-shard
+//   submit(src, dst)                          admission     round robin
 //   ───────────────►  token bucket + queue   ───────────►  bounded queues
 //                     depth hysteresis                       (one/worker)
 //                                                               │ dual
@@ -13,14 +13,13 @@
 //                                                               ▼
 //                     reply future  ◄───  micro-batch worker: drain up to
 //                                         max_batch or linger µs, one
-//                                         RouteEngine::route_batch call
+//                                         route_batch call on its own engine
 //
 // Key design points:
-//  * Requests are dispatched to workers by the *route-cache shard* of their
-//    relative permutation W = V^{-1}∘U (the engine's cache key).  Every
-//    translation-equivalent request therefore lands on the same worker, so
-//    with the cache on a repeated W is solved once and then served from the
-//    cache, and no two workers ever contend on one cache shard.
+//  * Each worker owns its queue, its thread and a RouteEngine caching
+//    ⌈cache_capacity / workers⌉ words, so no cache lock is shared.  The
+//    client picks a worker round robin; route_batch keys the request by
+//    W = V^{-1}∘U on the worker, so a repeated W is solved once per worker.
 //  * The dual trigger batches under load without taxing idle latency: a
 //    worker ships as soon as it holds `max_batch` requests, or `linger_us`
 //    after the first request of the batch arrived, whichever comes first.
@@ -54,7 +53,8 @@
 namespace scg {
 
 struct RouteServiceConfig {
-  /// Micro-batch worker threads (also the number of queue shards).
+  /// Micro-batch worker threads, 1..256; each owns a queue and an engine.
+  /// The constructor throws std::invalid_argument outside that range.
   int workers = 2;
   /// Batch-size trigger.  <= 256 keeps the solve inline on the worker.
   std::size_t max_batch = 128;
@@ -66,13 +66,13 @@ struct RouteServiceConfig {
   std::size_t queue_capacity = 1024;
   /// Rate limiting + load shedding (defaults: both off).
   AdmissionConfig admission;
-  /// Engine tuning.  cache_shards is raised to at least `workers` so the
-  /// shard -> worker pinning is a proper partition.
+  /// Engine tuning.  cache_capacity is the service's total: each worker's
+  /// engine holds ⌈cache_capacity / workers⌉ words.
   RouteEngineConfig engine;
 };
 
-/// Concurrent route-serving front end over one network.  Owns its spec,
-/// engine, queues and workers; destruction drains accepted requests.
+/// Concurrent route-serving front end over one network.  Owns its spec and
+/// its workers; destruction drains accepted requests.
 class RouteService {
  public:
   explicit RouteService(const NetworkSpec& net, RouteServiceConfig cfg = {});
@@ -103,15 +103,21 @@ class RouteService {
 
   ServiceStatsSnapshot snapshot() const;
   const NetworkSpec& spec() const { return net_; }
-  const RouteEngine& engine() const { return engine_; }
   int workers() const { return static_cast<int>(workers_.size()); }
-  const RouteServiceConfig& config() const { return cfg_; }
 
  private:
-  struct PendingRequest;
+  /// One micro-batch worker.  Its engine borrows the service's net_.
+  struct Worker {
+    Worker(std::size_t queue_capacity, const NetworkSpec& net,
+           RouteEngineConfig engine_cfg)
+        : queue(queue_capacity), engine(net, engine_cfg) {}
 
-  void worker_loop(std::size_t w);
-  std::size_t worker_of(std::uint64_t rel) const;
+    RequestQueue queue;
+    RouteEngine engine;
+    std::thread thread;
+  };
+
+  void worker_loop(Worker& w);
   std::future<RouteReply> submit_impl(std::uint64_t src, std::uint64_t dst,
                                       bool blocking);
   void complete_shed(ServeRequest& r, ServeStatus status);
@@ -119,14 +125,11 @@ class RouteService {
   static RouteServiceConfig sanitize(RouteServiceConfig cfg);
 
   RouteServiceConfig cfg_;
-  NetworkSpec net_;  ///< owned copy; the engine points at it
-  RouteEngine engine_;
+  NetworkSpec net_;  ///< owned copy; every worker's engine points at it
   AdmissionController admission_;
   ServiceStats stats_;
 
-  std::vector<std::unique_ptr<RequestQueue>> queues_;
-  std::vector<std::thread> workers_;
-
+  std::atomic<std::uint64_t> next_worker_{0};   ///< round-robin cursor
   std::atomic<std::uint64_t> queued_depth_{0};  ///< aggregate queue backlog
   std::atomic<std::uint64_t> in_flight_{0};     ///< admitted, not yet replied
   std::atomic<bool> closed_{false};
@@ -137,6 +140,8 @@ class RouteService {
   /// Never nested with lifecycle_mu_.
   Mutex drain_mu_;
   CondVar drain_cv_;
+  /// Last: the worker threads use the members above.
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace scg

@@ -459,12 +459,7 @@ Rerouter make_rerouter(const FaultRouter& router) {
                    const FaultSet& faults) -> std::vector<std::uint32_t> {
     const RouteOutcome outcome = router.route(at, dst, faults);
     if (!outcome.delivered()) return {};
-    std::vector<std::uint32_t> path;
-    path.reserve(outcome.path.size());
-    for (const std::uint64_t u : outcome.path) {
-      path.push_back(static_cast<std::uint32_t>(u));
-    }
-    return path;
+    return narrow_path(outcome.path);
   };
 }
 

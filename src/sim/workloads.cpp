@@ -65,21 +65,8 @@ std::vector<SimPacket> total_exchange_packets(const NetworkSpec& net) {
 }
 
 std::vector<SimPacket> total_exchange_packets(const Graph& g) {
-  GraphRoutes routes(g);
-  const std::uint64_t n = g.num_nodes();
-  std::vector<SimPacket> packets;
-  packets.reserve(n * (n - 1));
-  for (std::uint64_t s = 0; s < n; ++s) {
-    for (std::uint64_t d = 0; d < n; ++d) {
-      if (s == d) continue;
-      SimPacket p;
-      p.src = s;
-      p.dst = d;
-      p.path = routes.path(s, d);
-      packets.push_back(std::move(p));
-    }
-  }
-  return packets;
+  BfsPolicy policy(g);
+  return packets_for(policy, total_exchange_pairs(g.num_nodes()));
 }
 
 std::vector<SimPacket> random_traffic_packets(const NetworkSpec& net,
@@ -91,24 +78,9 @@ std::vector<SimPacket> random_traffic_packets(const NetworkSpec& net,
 
 std::vector<SimPacket> random_traffic_packets(const Graph& g, int per_node,
                                               std::uint64_t seed) {
-  GraphRoutes routes(g);
-  const std::uint64_t n = g.num_nodes();
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<std::uint64_t> pick(0, n - 1);
-  std::vector<SimPacket> packets;
-  packets.reserve(n * static_cast<std::uint64_t>(per_node));
-  for (std::uint64_t s = 0; s < n; ++s) {
-    for (int i = 0; i < per_node; ++i) {
-      std::uint64_t d = pick(rng);
-      if (d == s) d = (d + 1) % n;
-      SimPacket p;
-      p.src = s;
-      p.dst = d;
-      p.path = routes.path(s, d);
-      packets.push_back(std::move(p));
-    }
-  }
-  return packets;
+  BfsPolicy policy(g);
+  return packets_for(policy,
+                     random_traffic_pairs(g.num_nodes(), per_node, seed));
 }
 
 }  // namespace scg

@@ -24,6 +24,17 @@
 
 namespace scg {
 
+/// Hash of an ordered node pair, for the fault layers' pair-keyed tables.
+struct NodePairHash {
+  std::size_t operator()(
+      const std::pair<std::uint64_t, std::uint64_t>& p) const {
+    // splitmix-style combine; node ranks may exceed 32 bits (k >= 13).
+    std::uint64_t h = p.first * 0x9e3779b97f4a7c15ULL;
+    h ^= (p.second + 0xc2b2ae3d27d4eb4fULL) + (h << 6) + (h >> 2);
+    return static_cast<std::size_t>(h);
+  }
+};
+
 class FaultSet {
  public:
   FaultSet() = default;
@@ -105,23 +116,14 @@ class FaultSet {
   }
 
  private:
-  struct ArcHash {
-    std::size_t operator()(
-        const std::pair<std::uint64_t, std::uint64_t>& a) const {
-      // splitmix-style combine; node ranks may exceed 32 bits (k >= 13).
-      std::uint64_t h = a.first * 0x9e3779b97f4a7c15ULL;
-      h ^= (a.second + 0xc2b2ae3d27d4eb4fULL) + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   static std::pair<std::uint64_t, std::uint64_t> key(std::uint64_t u,
                                                      std::uint64_t v) {
     return {u, v};
   }
 
   std::unordered_set<std::uint64_t> nodes_;
-  std::unordered_set<std::pair<std::uint64_t, std::uint64_t>, ArcHash> arcs_;
+  std::unordered_set<std::pair<std::uint64_t, std::uint64_t>, NodePairHash>
+      arcs_;
 };
 
 /// Adaptor presenting the surviving subnetwork of `base` under `faults`

@@ -252,6 +252,15 @@ TEST(RouteService, RejectsOutOfRangeRanks) {
   EXPECT_THROW(svc.submit(0, net.num_nodes()), std::out_of_range);
 }
 
+TEST(RouteService, RejectsWorkerCountOutsideOneTo256) {
+  const NetworkSpec net = make_macro_star(2, 2);
+  for (const int workers : {0, 257}) {
+    RouteServiceConfig cfg;
+    cfg.workers = workers;
+    EXPECT_THROW(RouteService svc(net, cfg), std::invalid_argument) << workers;
+  }
+}
+
 TEST(RouteService, TimestampsMonotone) {
   const NetworkSpec net = make_macro_star(2, 2);
   RouteService svc(net);
@@ -324,6 +333,9 @@ TEST(RouteService, ByteIdenticalUnderConcurrentMixedTraffic) {
     EXPECT_EQ(snap.completed_ok, snap.offered) << net.name;
     EXPECT_EQ(snap.shed_load + snap.shed_rate + snap.rejected_closed, 0u);
     expect_conserved(snap);
+    // One cache lookup per request, summed over the workers' engines.
+    EXPECT_EQ(snap.cache.hits + snap.cache.misses, snap.completed_ok)
+        << net.name;
     // Duplicates are route-cache hits.
     EXPECT_GT(snap.cache.hits, 0u) << net.name;
   }
@@ -393,11 +405,12 @@ TEST(RouteService, TrySubmitShedsOnFullQueueInsteadOfBlocking) {
   expect_conserved(svc.snapshot());
 }
 
-TEST(RouteService, SolvesARepeatedRelativePermutationOnce) {
+TEST(RouteService, SolvesARepeatedRelativePermutationOncePerWorker) {
   // Left translation preserves W = V^{-1}∘U: the n distinct pairs
-  // (σ∘U, σ∘V) all share one W.  Keyed dispatch sends every copy to one
-  // worker, whose in-order batch caches the first solve before the next
-  // copy looks it up — within a batch as much as across batches.
+  // (σ∘U, σ∘V) all share one W.  Round robin gives each of the two workers
+  // 32 copies, and each worker's in-order batch caches its first solve in
+  // its own engine before the next copy looks it up — within a batch as
+  // much as across batches.
   const NetworkSpec net = make_macro_star(2, 2);
   RouteServiceConfig cfg;
   cfg.workers = 2;
@@ -422,10 +435,33 @@ TEST(RouteService, SolvesARepeatedRelativePermutationOnce) {
   }
   svc.drain();
   const ServiceStatsSnapshot snap = svc.snapshot();
-  EXPECT_EQ(snap.cache.misses, 1u);
-  EXPECT_EQ(snap.cache.hits, kPairs - 1);
+  EXPECT_EQ(snap.cache.misses, 2u);
+  EXPECT_EQ(snap.cache.hits, kPairs - 2);
   EXPECT_EQ(snap.completed_ok, kPairs);
   expect_conserved(snap);
+}
+
+TEST(RouteService, WorkersSplitTheCacheCapacity) {
+  // MS(3,2) has 5,040 relative permutations, so 2,000 random pairs are
+  // mostly distinct keys: each of the 4 engines, holding 256 / 4 = 64
+  // words, fills and evicts, and together they never hold more than 256.
+  const NetworkSpec net = make_macro_star(3, 2);
+  RouteServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.engine.cache_capacity = 256;
+  RouteService svc(net, cfg);
+  std::mt19937_64 rng(29);
+  std::vector<std::future<RouteReply>> futs;
+  for (int i = 0; i < 2000; ++i) {
+    futs.push_back(
+        svc.submit(rng() % net.num_nodes(), rng() % net.num_nodes()));
+  }
+  for (auto& f : futs) ASSERT_EQ(f.get().status, ServeStatus::kOk);
+  svc.drain();
+  const ServiceStatsSnapshot snap = svc.snapshot();
+  EXPECT_LE(snap.cache.entries, 256u);
+  EXPECT_GT(snap.cache.evictions, 0u);
+  EXPECT_EQ(snap.cache.hits + snap.cache.misses, 2000u);
 }
 
 TEST(RouteService, ShutdownCompletesEveryAcceptedRequest) {
